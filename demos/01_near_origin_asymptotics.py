@@ -7,7 +7,7 @@ that pin them down, plus the special exponent p = beta/4 that closes the
 leading orders exactly.
 """
 
-from invpower import PotentialMonomial, origin_params, special_p, omega_exponent
+from invpower import PotentialMonomial, origin_params, special_p
 
 for alpha, beta in [(1.0, 4.0), (1.0, 6.0), (2.0, 6.0), (0.5, 10.0)]:
     pot = PotentialMonomial(alpha, beta)
@@ -17,10 +17,10 @@ for alpha, beta in [(1.0, 4.0), (1.0, 6.0), (2.0, 6.0), (0.5, 10.0)]:
     print(f"  identity checks: gamma^2 delta^2 - alpha = "
           f"{origin.gamma**2 * origin.delta**2 - alpha:.1e}, "
           f"2 delta + 2 - beta = {2 * origin.delta + 2 - beta:.1e}")
-    print(f"  special power exponent p = {special_p(beta)}")
-    omega = omega_exponent(beta)
-    tag = " (polydromic: fractional power of r)" if omega.polydromic else ""
-    print(f"  interpolating-function exponent omega = {float(omega)}{tag}")
+    p = special_p(beta)
+    print(f"  special power exponent p = {p}")
+    tag = "" if p.is_integer() else " (polydromic: fractional power of r)"
+    print(f"  interpolating-function exponent omega = p = {p}{tag}")
     print()
 
 print("The inverse-quartic core (beta = 4) recovers the familiar closed form:")

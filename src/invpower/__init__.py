@@ -6,7 +6,7 @@ numerical oracle verifying all of the above."""
 
 from .asymptotics import (OdeCoefficients, OriginAsymptotics, PotentialMonomial,
                           general_ode_coefficients, ode_coefficients,
-                          origin_params, special_p, with_special_p)
+                          origin_params, special_p)
 from .errors import (BracketError, ConfigurationError, ConsistencyViolation,
                      DegenerateC, DomainError, IntegrationDiverged,
                      NoConvergence, NotNormalizable)
@@ -19,9 +19,8 @@ from .oracle import (Direction, RadialGrid, ShootingResult, Spacing,
 from .potentials import evaluate_terms
 from .reduction import (QuantumSetup, ReducedProblem, reduce_problem,
                         to_full_wavefunction)
-from .series import (OmegaExponent, SeriesConfig, SeriesSolution, Strategy,
-                     build_series, evaluate_solution, ode_residual,
-                     omega_exponent, recurrence_residual)
+from .series import (SeriesConfig, SeriesSolution, Strategy, build_series,
+                     evaluate_solution, ode_residual, recurrence_residual)
 
 __version__ = "0.1.0"
 
@@ -29,14 +28,14 @@ __all__ = [
     "BracketError", "ConfigurationError", "ConsistencyViolation",
     "DegenerateC", "Direction", "DomainError", "GroundStateSolution",
     "IntegrationDiverged", "MultiTermPotential", "NoConvergence",
-    "NotNormalizable", "OdeCoefficients", "OmegaExponent",
+    "NotNormalizable", "OdeCoefficients",
     "OriginAsymptotics", "PotentialMonomial", "QuantumSetup", "RadialGrid",
     "ReducedProblem", "SeriesConfig", "SeriesSolution", "ShootingResult",
     "Spacing", "Strategy", "build_series", "constraint_mismatch",
     "evaluate_ground_state", "evaluate_solution", "evaluate_terms",
     "finite_difference_residual", "general_ode_coefficients",
     "ground_state_residual", "integrate_radial", "ode_coefficients",
-    "ode_residual", "omega_exponent", "origin_params", "recurrence_residual",
+    "ode_residual", "origin_params", "recurrence_residual",
     "reduce_problem", "shoot_ground_energy", "solve_ground_state",
-    "special_p", "to_full_wavefunction", "with_special_p",
+    "special_p", "to_full_wavefunction",
 ]

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,7 @@ class PotentialMonomial:
     beta: float
 
     def __post_init__(self):
+        require_finite(alpha=self.alpha, beta=self.beta)
         if self.alpha <= 0.0:
             raise DomainError("alpha must be positive (attractive case unsupported)")
         if self.beta <= 2.0:
@@ -45,15 +46,10 @@ class PotentialMonomial:
 
 @dataclass(frozen=True)
 class OriginAsymptotics:
-    """Parameters (gamma, delta) of the near-origin factor exp(-gamma r^-delta).
-
-    ``p_exponent`` is populated only when the beta = 4p closure is requested
-    through :func:`special_p`.
-    """
+    """Parameters (gamma, delta) of the near-origin factor exp(-gamma r^-delta)."""
 
     gamma: float
     delta: float
-    p_exponent: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -91,17 +87,16 @@ def special_p(beta: float) -> float:
 
     Combining delta = 2p - 1 with delta = beta/2 - 1 gives beta = 4p, i.e.
     p = beta/4.  For beta = 4 this recovers y ~ r exp(-sqrt(alpha)/r).
+
+    The same beta/4 is the exponent omega of the r^omega prefactor of the
+    series' interpolating function, where it cancels the r^(-beta/2 - 1)
+    coefficient sqrt(alpha) (2 omega - beta/2).  A non-integer value makes
+    the wavefunction multi-valued (polydromic) around the origin.
     """
+    require_finite(beta=beta)
     if beta <= 2.0:
         raise DomainError("beta must exceed 2")
     return beta / 4.0
-
-
-def with_special_p(pot: PotentialMonomial) -> OriginAsymptotics:
-    """origin_params with the optional p_exponent field filled in."""
-    base = origin_params(pot)
-    return OriginAsymptotics(gamma=base.gamma, delta=base.delta,
-                             p_exponent=special_p(pot.beta))
 
 
 def ode_coefficients(pot: PotentialMonomial, kappa: float, lam: float,

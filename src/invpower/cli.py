@@ -21,13 +21,13 @@ from . import __version__
 from .asymptotics import PotentialMonomial, origin_params, special_p
 from .errors import (BracketError, ConfigurationError, ConsistencyViolation,
                      DegenerateC, DomainError, IntegrationDiverged,
-                     NoConvergence, NotNormalizable)
+                     NoConvergence, NotNormalizable, require_finite)
 from .groundstate import evaluate_ground_state, solve_ground_state
 from .oracle import (RadialGrid, Spacing, finite_difference_residual,
                      shoot_ground_energy)
 from .reduction import QuantumSetup, reduce_problem
 from .series import (SeriesConfig, Strategy, build_series, evaluate_solution,
-                     ode_residual, omega_exponent)
+                     ode_residual)
 
 _USER_ERRORS = (DomainError, ConfigurationError, DegenerateC, NotNormalizable,
                 BracketError, ConsistencyViolation, NoConvergence,
@@ -83,7 +83,7 @@ def _require(args: argparse.Namespace, key: str, cast=float):
     return value
 
 
-def _grid_from(args: argparse.Namespace, r_min=0.5, r_max=2.0, n=200) -> RadialGrid:
+def _grid_from(args: argparse.Namespace, r_min: float, r_max: float, n: int) -> RadialGrid:
     return RadialGrid(
         r_min=_merged(args, "r_min", float, r_min),
         r_max=_merged(args, "r_max", float, r_max),
@@ -113,13 +113,13 @@ def _cmd_reduce(args) -> int:
 def _cmd_asym(args) -> int:
     pot = PotentialMonomial(alpha=_require(args, "alpha"), beta=_require(args, "beta"))
     origin = origin_params(pot)
-    omega = omega_exponent(pot.beta)
+    p = special_p(pot.beta)
     _emit({
         "gamma": origin.gamma,
         "delta": origin.delta,
-        "omega": float(omega),
-        "p": special_p(pot.beta),
-        "polydromic": omega.polydromic,
+        "omega": p,
+        "p": p,
+        "polydromic": not p.is_integer(),
     })
     return 0
 
@@ -141,7 +141,8 @@ def _cmd_series(args) -> int:
         rows = [(float(s), sol.coefficients[s].real, sol.coefficients[s].imag)
                 for s in sorted(sol.coefficients)]
         _write_csv(args.coeff_out, ["s", "re_a", "im_a"], rows)
-    grid = _grid_from(args)
+    # the series is asymptotic: its default grid is its validity range
+    grid = _grid_from(args, r_min=0.05, r_max=0.2, n=200)
     r = grid.nodes()
     y = evaluate_solution(sol, origin, r)
     res = ode_residual(sol, origin, r)
@@ -175,6 +176,7 @@ def _cmd_ground(args) -> int:
     }
     user_c = _merged(args, "C", float)
     if user_c is not None:
+        require_finite(C=user_c)
         payload["C"] = user_c
         payload["C_mismatch"] = user_c - sol.required_C
     _emit(payload)

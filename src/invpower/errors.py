@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+import math
+
 
 class DomainError(ValueError):
     """An input violates a documented precondition (e.g. r <= 0, beta <= 2)."""
@@ -36,3 +38,14 @@ class IntegrationDiverged(RuntimeError):
         super().__init__(message)
         self.last_index = last_index
         self.last_r = last_r
+
+
+def require_finite(**values: float) -> None:
+    """Raise DomainError naming the first of the values that is NaN or infinite.
+
+    Comparisons with NaN are false, so range checks such as ``x <= 0`` alone
+    let NaN through; validators call this before them.
+    """
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateC, DomainError, NotNormalizable
+from .errors import DegenerateC, DomainError, NotNormalizable, require_finite
 
 # coefficient mismatches below this multiple of double rounding are treated
 # as exact zeros, so the residual is not polluted by r^-4 amplification of
@@ -40,6 +40,7 @@ class MultiTermPotential:
     D: float
 
     def __post_init__(self):
+        require_finite(A=self.A, B=self.B, C=self.C, D=self.D)
         if self.A <= 0.0:
             raise DomainError("A must be positive")
 
@@ -75,6 +76,7 @@ def solve_ground_state(A: float, B: float, D: float) -> GroundStateSolution:
     Raises DegenerateC when mu = -1 (c vanishes, b undefined) and
     NotNormalizable when the resulting b is >= 0.
     """
+    require_finite(A=A, B=B, D=D)
     if A <= 0.0:
         raise DomainError("A must be positive")
     sqa = math.sqrt(A)

@@ -8,9 +8,11 @@ The reduced radial equation is integrated as y'' = f(r) y with
 
     f(r) = V(r) + (lam^2 - 1/4)/r^2 - kappa
 
-using the Numerov method on uniform grids and a fourth-order one-step
-(Runge-Kutta) scheme on non-uniform ones.  Bound-state energies are found
-by bisection on the matching defect between outward and inward sweeps.
+by one Numerov sweep on both grid spacings.  A uniform grid is swept in r.
+A log grid is swept in x = ln r, where it is uniform, on u = r^(-1/2) y,
+which obeys u'' = (r^2 f + 1/4) u.  Inward sweeps run the same code over
+the reversed nodes.  Bound-state energies are found by bisection on the
+matching defect between outward and inward sweeps.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import (BracketError, DomainError, IntegrationDiverged,
-                     NoConvergence)
+                     NoConvergence, require_finite)
 from .potentials import PotentialTerms, evaluate_terms, term_with_power
 
 _OVERFLOW_LIMIT = 1e250
@@ -50,6 +52,7 @@ class RadialGrid:
     spacing: Spacing = Spacing.UNIFORM
 
     def __post_init__(self):
+        require_finite(r_min=self.r_min, r_max=self.r_max, n_points=self.n_points)
         if self.r_min <= 0.0:
             raise DomainError("r_min must be positive")
         if self.r_max <= self.r_min:
@@ -71,72 +74,33 @@ class ShootingResult:
     converged: bool
 
 
-def _f_callable(terms: PotentialTerms, kappa: float, lam: float) -> Callable:
-    cent = lam * lam - 0.25
-
-    def f(r):
-        return evaluate_terms(terms, r) + cent / np.asarray(r, dtype=float) ** 2 - kappa
-
-    return f
+def _f_values(terms: PotentialTerms, kappa: float, lam: float,
+              r: np.ndarray) -> np.ndarray:
+    """f(r) = V(r) + (lam^2 - 1/4)/r^2 - kappa at the nodes r."""
+    return evaluate_terms(terms, r) + (lam * lam - 0.25) / r**2 - kappa
 
 
-def _numerov(r: np.ndarray, fvals: np.ndarray, y0: float, y1: float,
+def _numerov(x: np.ndarray, g: np.ndarray, u0: float, u1: float,
              raise_on_overflow: bool) -> np.ndarray:
-    """Numerov sweep over an increasing uniform grid (rescales on overflow
-    unless asked to raise, since only ratios matter to callers that allow it)."""
-    h = r[1] - r[0]
+    """Numerov sweep of u'' = g u over the equally spaced nodes x (increasing
+    or decreasing); rescales on overflow unless asked to raise, since only
+    ratios matter to callers that allow it.  Divergence is reported by the
+    sweep index and its x."""
+    h = x[1] - x[0]
     h2 = h * h / 12.0
-    n = len(r)
-    y = np.empty(n)
-    y[0], y[1] = y0, y1
+    n = len(x)
+    u = np.empty(n)
+    u[0], u[1] = u0, u1
     for i in range(1, n - 1):
-        y[i + 1] = ((2.0 + 10.0 * h2 * fvals[i]) * y[i]
-                    - (1.0 - h2 * fvals[i - 1]) * y[i - 1]) / (1.0 - h2 * fvals[i + 1])
-        if not math.isfinite(y[i + 1]):
-            raise IntegrationDiverged("integration overflowed", i, float(r[i]))
-        if abs(y[i + 1]) > _OVERFLOW_LIMIT:
+        u[i + 1] = ((2.0 + 10.0 * h2 * g[i]) * u[i]
+                    - (1.0 - h2 * g[i - 1]) * u[i - 1]) / (1.0 - h2 * g[i + 1])
+        if not math.isfinite(u[i + 1]):
+            raise IntegrationDiverged("integration overflowed", i, float(x[i]))
+        if abs(u[i + 1]) > _OVERFLOW_LIMIT:
             if raise_on_overflow:
-                raise IntegrationDiverged("integration overflowed", i + 1, float(r[i + 1]))
-            y[: i + 2] /= _OVERFLOW_LIMIT
-    return y
-
-
-def _rk4_step(f: Callable, r: float, h: float, y: float, dy: float) -> Tuple[float, float]:
-    def rhs(rr, state):
-        return np.array([state[1], f(rr) * state[0]])
-
-    state = np.array([y, dy])
-    k1 = rhs(r, state)
-    k2 = rhs(r + 0.5 * h, state + 0.5 * h * k1)
-    k3 = rhs(r + 0.5 * h, state + 0.5 * h * k2)
-    k4 = rhs(r + h, state + h * k3)
-    out = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return float(out[0]), float(out[1])
-
-
-def _onestep(r: np.ndarray, f: Callable, y0: float, y1: float) -> np.ndarray:
-    """Fourth-order one-step sweep for non-uniform (increasing) grids.
-
-    The initial slope is recovered from the two seed values by linearity of
-    the equation in the initial data: one step is integrated with slopes 0
-    and 1 and the combination reproducing y1 is solved for.
-    """
-    h0 = r[1] - r[0]
-    ya, _ = _rk4_step(f, r[0], h0, y0, 0.0)
-    yb, _ = _rk4_step(f, r[0], h0, 0.0, 1.0)
-    if yb == 0.0:
-        raise DomainError("cannot recover the initial slope from the seeds")
-    dy0 = (y1 - ya) / yb
-    n = len(r)
-    y = np.empty(n)
-    y[0] = y0
-    yi, di = y0, dy0
-    for i in range(n - 1):
-        yi, di = _rk4_step(f, float(r[i]), float(r[i + 1] - r[i]), yi, di)
-        if not math.isfinite(yi) or abs(yi) > _OVERFLOW_LIMIT:
-            raise IntegrationDiverged("integration overflowed", i + 1, float(r[i + 1]))
-        y[i + 1] = yi
-    return y
+                raise IntegrationDiverged("integration overflowed", i + 1, float(x[i + 1]))
+            u[: i + 2] /= _OVERFLOW_LIMIT
+    return u
 
 
 def integrate_radial(terms: PotentialTerms, kappa: float, lam: float,
@@ -146,26 +110,32 @@ def integrate_radial(terms: PotentialTerms, kappa: float, lam: float,
 
     ``seeds`` are the solution values at the first two nodes in the travel
     direction (the two largest radii for INWARD).  The returned array is
-    ordered like ``grid.nodes()`` regardless of direction.
+    ordered like ``grid.nodes()`` regardless of direction.  On divergence,
+    ``IntegrationDiverged`` carries the node index in that order and its r.
     """
     y0, y1 = seeds
     if not (math.isfinite(y0) and math.isfinite(y1)) or (y0 == 0.0 and y1 == 0.0):
         raise DomainError("seeds must be finite and not both zero")
     r = grid.nodes()
-    f = _f_callable(terms, kappa, lam)
-    if direction is Direction.OUTWARD:
-        if grid.spacing is Spacing.UNIFORM:
-            return _numerov(r, f(r), y0, y1, raise_on_overflow=True)
-        return _onestep(r, f, y0, y1)
-    # inward: mirror the axis so the sweep still runs over increasing values
-    rr = r[::-1]
+    f = _f_values(terms, kappa, lam, r)
     if grid.spacing is Spacing.UNIFORM:
-        axis = np.linspace(0.0, r[-1] - r[0], len(r))  # only the spacing matters
-        y = _numerov(axis, f(r)[::-1], y0, y1, raise_on_overflow=True)
-        return y[::-1]
-    mirrored = lambda x: f(rr[0] + rr[-1] - np.asarray(x))
-    y = _onestep((rr[0] + rr[-1]) - rr, mirrored, y0, y1)
-    return y[::-1]
+        x, g, scale = r, f, np.ones_like(r)
+    else:
+        # x = ln r and y = r^(1/2) u turn y'' = f y into u'' = (r^2 f + 1/4) u,
+        # so a log grid is uniform in x
+        x, g, scale = np.log(r), r * r * f + 0.25, np.sqrt(r)
+    sweep = np.arange(len(r))
+    if direction is Direction.INWARD:
+        sweep = sweep[::-1]
+    try:
+        u = _numerov(x[sweep], g[sweep], y0 / scale[sweep[0]], y1 / scale[sweep[1]],
+                     raise_on_overflow=True)
+    except IntegrationDiverged as exc:
+        i = int(sweep[exc.last_index])
+        raise IntegrationDiverged(str(exc), i, float(r[i])) from None
+    # sweep is the identity or a reversal, so indexing by it again restores
+    # the order of grid.nodes()
+    return scale * u[sweep]
 
 
 def finite_difference_residual(r: np.ndarray, y: np.ndarray,
@@ -180,15 +150,14 @@ def finite_difference_residual(r: np.ndarray, y: np.ndarray,
     h = np.diff(r)
     if np.max(np.abs(h - h[0])) > 1e-12 * abs(h[0]):
         raise DomainError("finite-difference residual requires a uniform grid")
-    f = _f_callable(terms, kappa, lam)(r)
+    f = _f_values(terms, kappa, lam, r)
     ypp = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / h[0] ** 2
     res = np.abs(ypp - f[1:-1] * y[1:-1]) / np.maximum(1.0, np.abs(y[1:-1]))
     return float(np.max(res))
 
 
 def _match_index(terms: PotentialTerms, lam: float, r: np.ndarray) -> int:
-    veff = evaluate_terms(terms, r) + (lam * lam - 0.25) / r**2
-    return int(np.clip(np.argmin(veff), 5, len(r) - 6))
+    return int(np.clip(np.argmin(_f_values(terms, 0.0, lam, r)), 5, len(r) - 6))
 
 
 def _matching_defect(terms: PotentialTerms, lam: float, energy: float,
@@ -199,13 +168,12 @@ def _matching_defect(terms: PotentialTerms, lam: float, energy: float,
     and exp(-sqrt(-E) r) at infinity, never the closed-form wavefunction.
     """
     h = r[1] - r[0]
-    f = evaluate_terms(terms, r) + (lam * lam - 0.25) / r**2 - energy
+    f = _f_values(terms, energy, lam, r)
     out = _numerov(r[: imatch + 3], f[: imatch + 3],
                    math.exp(inner_decay * (1.0 / r[1] - 1.0 / r[0])), 1.0,
                    raise_on_overflow=False)
     decay = math.sqrt(-energy)
-    rev = _numerov(np.linspace(0.0, r[-1] - r[imatch - 2], len(r) - imatch + 2),
-                   f[imatch - 2:][::-1],
+    rev = _numerov(r[imatch - 2:][::-1], f[imatch - 2:][::-1],
                    math.exp(-decay * (r[-1] - r[-2])), 1.0,
                    raise_on_overflow=False)
     inn = rev[::-1]  # inn[k] is the inward solution at r[imatch - 2 + k]

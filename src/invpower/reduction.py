@@ -19,7 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .potentials import PotentialTerms
 
 
@@ -34,6 +34,8 @@ class QuantumSetup:
     energy: float
 
     def __post_init__(self):
+        require_finite(mass=self.mass, hbar=self.hbar, dimension=self.dimension,
+                       angular_momentum=self.angular_momentum, energy=self.energy)
         if self.mass <= 0.0:
             raise DomainError("mass must be positive")
         if self.hbar <= 0.0:
@@ -66,6 +68,8 @@ def reduce_problem(setup: QuantumSetup, physical_terms: PotentialTerms = ()) -> 
     scale = 2.0 * setup.mass / setup.hbar**2
     kappa = scale * setup.energy
     lam = setup.angular_momentum + 0.5 * (setup.dimension - 2)
+    for s, p in physical_terms:
+        require_finite(term_strength=s, term_power=p)
     terms = tuple((scale * s, float(p)) for s, p in physical_terms)
     return ReducedProblem(kappa=kappa, lam=lam, terms=terms)
 

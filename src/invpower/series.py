@@ -25,6 +25,7 @@ truncations are accurate only close to r = 0 (see ode_residual).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -32,9 +33,9 @@ from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
-from .asymptotics import OriginAsymptotics, PotentialMonomial
+from .asymptotics import OriginAsymptotics, PotentialMonomial, special_p
 from .errors import (ConfigurationError, ConsistencyViolation, DomainError,
-                     NoConvergence)
+                     NoConvergence, require_finite)
 
 _ONE_SIDED_CONSISTENCY_TOL = 1e-10
 _WINDOWED_NULL_TOL = 1e-8
@@ -43,30 +44,6 @@ _WINDOWED_NULL_TOL = 1e-8
 class Strategy(Enum):
     ONE_SIDED = "one_sided"
     WINDOWED = "windowed"
-
-
-class OmegaExponent(float):
-    """beta/4 as a float, flagged when it is a polydromy (non-integer) exponent."""
-
-    polydromic: bool
-
-    def __new__(cls, beta: float):
-        if beta <= 2.0:
-            raise DomainError("beta must exceed 2")
-        value = super().__new__(cls, beta / 4.0)
-        value.polydromic = not float(beta / 4.0).is_integer()
-        return value
-
-
-def omega_exponent(beta: float) -> OmegaExponent:
-    """Exponent omega = beta/4 of the r^omega prefactor of F.
-
-    This choice cancels the r^(-beta/2 - 1) coefficient sqrt(alpha)
-    (2 omega - beta/2) in the sigma equation, removing the dominant
-    singularity.  Non-integer values make the wavefunction multi-valued
-    around the origin; the returned object carries a ``polydromic`` flag.
-    """
-    return OmegaExponent(beta)
 
 
 @dataclass(frozen=True)
@@ -88,6 +65,7 @@ class SeriesConfig:
                 "beta must be an even integer >= 4: the coefficient recurrence "
                 "only closes when beta/2 is an integer (odd or non-integer "
                 "beta does not admit a power-series algorithm)")
+        require_finite(kappa=self.kappa, lam=self.lam)
         if self.kappa <= 0.0:
             raise DomainError("kappa must be positive")
         if self.epsilon not in (1, -1):
@@ -157,7 +135,11 @@ def _build_one_sided(config: SeriesConfig) -> SeriesSolution:
                     f"residual {abs(rhs):.3e}")
             continue
         a[d] = -rhs / (2.0 * math.sqrt(config.pot.alpha) * d)
-    return SeriesSolution(omega=float(omega_exponent(config.pot.beta)),
+        if not cmath.isfinite(a[d]):
+            raise NoConvergence(
+                f"series coefficient a_{d} overflowed; lower s_max "
+                "(the coefficients grow factorially)")
+    return SeriesSolution(omega=special_p(config.pot.beta),
                           coefficients=a, config=config, normalization_index=0)
 
 
@@ -185,7 +167,7 @@ def _build_windowed(config: SeriesConfig) -> SeriesSolution:
     top = int(np.argmax(np.abs(vec)))
     vec = vec / vec[top]
     coeffs = {s_min + k: complex(vec[k]) for k in range(n)}
-    return SeriesSolution(omega=float(omega_exponent(config.pot.beta)),
+    return SeriesSolution(omega=special_p(config.pot.beta),
                           coefficients=coeffs, config=config,
                           normalization_index=s_min + top)
 

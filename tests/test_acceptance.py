@@ -20,9 +20,8 @@ from invpower import (ConfigurationError, DegenerateC, NotNormalizable,
                       PotentialMonomial, RadialGrid, SeriesConfig,
                       build_series, evaluate_solution,
                       finite_difference_residual, ground_state_residual,
-                      ode_residual, omega_exponent, origin_params,
-                      recurrence_residual, shoot_ground_energy,
-                      solve_ground_state)
+                      ode_residual, origin_params, recurrence_residual,
+                      shoot_ground_energy, solve_ground_state, special_p)
 from invpower.series import _recurrence_terms
 
 
@@ -39,7 +38,7 @@ def test_criterion_1_beta4_limit():
     worst = 0.0
     for alpha in (0.25, 1.0, 4.0):
         origin = origin_params(PotentialMonomial(alpha, 4.0))
-        omega = omega_exponent(4.0)
+        omega = special_p(4.0)
         worst = max(worst,
                     abs(origin.gamma - math.sqrt(alpha)) / math.sqrt(alpha),
                     abs(origin.delta - 1.0),

@@ -6,7 +6,7 @@ import sympy as sp
 from hypothesis import given, strategies as st
 
 from invpower import (DomainError, PotentialMonomial, general_ode_coefficients,
-                      ode_coefficients, origin_params, special_p, with_special_p)
+                      ode_coefficients, origin_params, special_p)
 
 
 def sym_coefficients(alpha, beta, kappa, lam, eps, r):
@@ -24,7 +24,6 @@ def test_beta4_limiting_form():
     origin = origin_params(PotentialMonomial(alpha=1.0, beta=4.0))
     assert origin.gamma == 1.0
     assert origin.delta == 1.0
-    assert origin.p_exponent is None
 
 
 def test_origin_params_identity_oracle():
@@ -51,11 +50,6 @@ def test_special_p(beta, expected):
 def test_special_p_rejects_small_beta():
     with pytest.raises(DomainError):
         special_p(2.0)
-
-
-def test_with_special_p_populates_exponent():
-    origin = with_special_p(PotentialMonomial(alpha=1.0, beta=8.0))
-    assert origin.p_exponent == 2.0
 
 
 @given(alpha=st.floats(min_value=1e-3, max_value=10.0),

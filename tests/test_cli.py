@@ -163,3 +163,32 @@ def test_header_stability(capsys, tmp_path):
         run_json(capsys, "series", "--alpha", "1", "--beta", "6", "--kappa", "1",
                  "--lambda", "0.5", "--s-max", "10", "--coeff-out", str(path))
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+REDUCE_ARGS = ("reduce", "--hbar", "1", "--dimension", "3", "--angular-momentum", "0",
+               "--energy", "1")
+SERIES_ARGS = ("series", "--alpha", "1", "--beta", "6", "--kappa", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("asym", "--alpha", "nan", "--beta", "4"), id="asym-alpha-nan"),
+    pytest.param(("asym", "--alpha", "1", "--beta", "inf"), id="asym-beta-inf"),
+    pytest.param(("ground", "--A", "inf", "--B", "2", "--D", "-4"), id="ground-A-inf"),
+    pytest.param(("ground", "--A", "1", "--B", "2", "--D", "-4", "--C", "nan"),
+                 id="ground-C-nan"),
+    pytest.param(REDUCE_ARGS + ("--mass", "nan"), id="reduce-mass-nan"),
+    pytest.param(REDUCE_ARGS + ("--mass", "1", "--term", "inf", "4"), id="reduce-term-inf"),
+    pytest.param(SERIES_ARGS + ("--lambda", "nan"), id="series-lambda-nan"),
+    pytest.param(SERIES_ARGS + ("--s-max", "400"), id="series-s-max-overflow"),
+])
+def test_non_finite_input_and_overflow_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_series_default_grid_is_the_validity_range(capsys):
+    payload = run_json(capsys, "series", "--alpha", "1", "--beta", "6",
+                       "--kappa", "1", "--lambda", "0.5")
+    assert payload["max_residual"] <= 1e-8

@@ -79,6 +79,12 @@ class TestSolve:
         with pytest.raises(DomainError):
             MultiTermPotential(A=-1.0, B=0.0, C=0.0, D=-1.0)
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(DomainError):
+            solve_ground_state(A=1.0, B=2.0, D=-math.inf)
+        with pytest.raises(DomainError):
+            MultiTermPotential(A=1.0, B=0.0, C=math.nan, D=-1.0)
+
 
 class TestEvaluate:
     def test_point_value(self):

@@ -27,6 +27,7 @@ class TestGrid:
         dict(r_min=0.0, r_max=1.0, n_points=32),
         dict(r_min=1.0, r_max=0.5, n_points=32),
         dict(r_min=0.1, r_max=1.0, n_points=8),
+        dict(r_min=0.1, r_max=math.nan, n_points=32),
     ])
     def test_invalid_grids(self, bad):
         with pytest.raises(DomainError):
@@ -100,13 +101,24 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate_radial((), 1.0, FREE_LAM, grid, Direction.OUTWARD, (0.0, 0.0))
 
-    def test_divergence_reported(self):
-        grid = RadialGrid(0.1, 700.0, 20_000)
+    @pytest.mark.parametrize("spacing", [Spacing.UNIFORM, Spacing.LOG], ids=["uniform", "log"])
+    @pytest.mark.parametrize("direction", [Direction.OUTWARD, Direction.INWARD],
+                             ids=["outward", "inward"])
+    def test_divergence_reported(self, direction, spacing):
+        # the exact solution exp(+-r) grows along the sweep and passes the
+        # 1e250 overflow limit well before the far end of the grid
+        grid = RadialGrid(0.1, 700.0, 20_000, spacing)
         r = grid.nodes()
+        log_y = r - 5.0 if direction is Direction.OUTWARD else r[-1] - r
+        first = (0, 1) if direction is Direction.OUTWARD else (-1, -2)
         with pytest.raises(IntegrationDiverged) as info:
-            integrate_radial((), -1.0, FREE_LAM, grid, Direction.OUTWARD,
-                             (math.exp(r[0] - 5.0), math.exp(r[1] - 5.0)))
-        assert info.value.last_r > 0.0
+            integrate_radial((), -1.0, FREE_LAM, grid, direction,
+                             (math.exp(log_y[first[0]]), math.exp(log_y[first[1]])))
+        i = info.value.last_index
+        assert info.value.last_r == r[i]
+        # the report names the real radius where |y| reaches the limit (a
+        # log-grid sweep checks r^(-1/2) y, a few e-folds off)
+        assert log_y[i] == pytest.approx(math.log(1e250), abs=5.0)
 
 
 class TestFiniteDifference:

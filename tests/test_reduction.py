@@ -31,6 +31,7 @@ def test_potential_strength_rescaling():
     dict(mass=1.0, hbar=0.0, dimension=3, angular_momentum=0, energy=1.0),
     dict(mass=1.0, hbar=1.0, dimension=1, angular_momentum=0, energy=1.0),
     dict(mass=1.0, hbar=1.0, dimension=3, angular_momentum=-1, energy=1.0),
+    dict(mass=1.0, hbar=1.0, dimension=3, angular_momentum=0, energy=float("nan")),
 ])
 def test_invalid_setups_rejected(bad):
     with pytest.raises(DomainError):
