@@ -2,9 +2,10 @@
 
 The oracle never sees the closed-form wavefunction: it integrates the radial
 equation outward from a generic exp(-sqrt(A)/r) seed and inward from a generic
-exp(-sqrt(-E) r) seed, and bisects the energy until the two sweeps match
-smoothly (vanishing normalized Wronskian).  Agreement with the algebraic
-energy is therefore meaningful evidence, not circular.
+exp(-sqrt(-E) r) seed, and moves the energy by Illinois (regula falsi) steps
+until the two sweeps match smoothly (vanishing normalized Wronskian).
+Agreement with the algebraic energy is therefore meaningful evidence, not
+circular.
 """
 
 import time
@@ -23,7 +24,7 @@ for A, B, D in cases:
     print(f"A = {A}, B = {B}, C = {sol.required_C}, D = {D}:")
     print(f"  closed-form energy:  {sol.energy:.12f}")
     print(f"  shooting energy:     {result.energy:.12f}  "
-          f"({result.iterations} bisections, {elapsed:.2f} s)")
+          f"({result.evaluations} defect evaluations, {elapsed:.2f} s)")
     print(f"  relative difference: "
           f"{abs(result.energy - sol.energy) / abs(sol.energy):.2e}")
     print(f"  final match defect:  {result.match_defect:.2e}")

@@ -3,8 +3,8 @@
 All physics flags are in reduced units unless the ``--physical`` group
 (mass, hbar, energy, dimension, angular momentum) is used, in which case the
 inputs are routed through the reduction stage first.  Data artifacts go to
-stdout or files; diagnostics go to stderr.  Exit codes: 0 success, 1 domain
-or configuration error, 2 verification failure.
+stdout or files; diagnostics go to stderr.  Exit codes: 0 success, 1 usage,
+domain or configuration error, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -39,6 +40,10 @@ def _fmt(x: float) -> str:
 
 
 def _emit(payload: dict) -> None:
+    """Print one strict JSON object; a non-finite field is a DomainError."""
+    for key, value in payload.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"{key} is not finite, got {value!r}")
     print(json.dumps(payload, allow_nan=False))
 
 
@@ -83,12 +88,13 @@ def _require(args: argparse.Namespace, key: str, cast=float):
     return value
 
 
-def _grid_from(args: argparse.Namespace, r_min: float, r_max: float, n: int) -> RadialGrid:
+def _grid_from(args: argparse.Namespace, r_min: float, r_max: float, n: int,
+               spacing: Spacing = Spacing.UNIFORM) -> RadialGrid:
     return RadialGrid(
         r_min=_merged(args, "r_min", float, r_min),
         r_max=_merged(args, "r_max", float, r_max),
         n_points=int(_merged(args, "n_points", int, n)),
-        spacing=Spacing.UNIFORM,
+        spacing=spacing,
     )
 
 
@@ -201,26 +207,39 @@ def _verify_ground(args) -> int:
     D = _require(args, "D")
     sol = solve_ground_state(A, B, D)
     terms = ((A, 4.0), (B, 3.0), (sol.required_C, 2.0), (D, 1.0))
-    grid = _grid_from(args, r_min=0.08, r_max=14.0, n=16000)
     e_lo = _merged(args, "e_lo", float, 2.0 * sol.energy)
     e_hi = _merged(args, "e_hi", float, 0.5 * sol.energy)
-    result = shoot_ground_energy(terms, (e_lo, e_hi), grid,
-                                 tolerance=_merged(args, "tolerance", float, 1e-10))
+    # the inward seed exp(-sqrt(-E) r) stands for the decaying tail, so the
+    # grid reaches out to sqrt(-E) r_max = 35 for the shallowest energy in
+    # the bracket (shoot_ground_energy rejects e_hi >= 0)
+    r_max = max(14.0, 35.0 / math.sqrt(-e_hi)) if e_hi < 0.0 else 14.0
+    grid = _grid_from(args, r_min=0.08, r_max=r_max, n=2000, spacing=Spacing.LOG)
+    tolerance = _merged(args, "tolerance", float, 1e-10)
+    result = shoot_ground_energy(terms, (e_lo, e_hi), grid, tolerance=tolerance)
     rel_err = abs(result.energy - sol.energy) / abs(sol.energy)
     r = np.linspace(max(grid.r_min, 0.1), min(grid.r_max, 10.0), 2001)
     fd = finite_difference_residual(r, evaluate_ground_state(sol, r),
                                     terms, sol.energy, 0.0)
-    passed = result.converged and rel_err <= 1e-6
+    failures = [f"{name} {value:.3g} > {bound:.3g}" for name, value, bound in (
+        ("match_defect", abs(result.match_defect), tolerance),
+        ("relative_energy_error", rel_err, 1e-6),
+        ("nodes", result.nodes, 0),
+    ) if not value <= bound]
     _emit({
-        "status": "pass" if passed else "fail",
+        "status": "fail" if failures else "pass",
         "closed_form_energy": sol.energy,
         "shooting_energy": result.energy,
         "relative_energy_error": rel_err,
         "match_defect": result.match_defect,
         "iterations": result.iterations,
+        "evaluations": result.evaluations,
+        "nodes": result.nodes,
         "finite_difference_residual": fd,
     })
-    return 0 if passed else 2
+    if failures:
+        print("fail: " + "; ".join(failures), file=sys.stderr)
+        return 2
+    return 0
 
 
 def _verify_series(args) -> int:
@@ -257,8 +276,17 @@ def _verify_series(args) -> int:
     return 0 if passed else 2
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1, like other input errors: argparse's own code 2
+    means a verification failure here.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="invpower",
         description="Radial Schrodinger toolkit for repulsive inverse-power potentials")
     parser.add_argument("--version", action="version", version=__version__)

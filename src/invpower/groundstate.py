@@ -92,6 +92,7 @@ def solve_ground_state(A: float, B: float, D: float) -> GroundStateSolution:
             "(need D < 0 with c > 0, or D > 0 with c < 0)")
     energy = -b * b
     required_C = 0.25 + mu * (1.0 + mu) + D * sqa / (1.0 + mu)
+    require_finite(E=energy, required_C=required_C)
     return GroundStateSolution(a=a, linear_slope_b=b, c=c, energy=energy,
                                mu=mu, required_C=required_C)
 

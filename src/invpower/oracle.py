@@ -11,8 +11,9 @@ The reduced radial equation is integrated as y'' = f(r) y with
 by one Numerov sweep on both grid spacings.  A uniform grid is swept in r.
 A log grid is swept in x = ln r, where it is uniform, on u = r^(-1/2) y,
 which obeys u'' = (r^2 f + 1/4) u.  Inward sweeps run the same code over
-the reversed nodes.  Bound-state energies are found by bisection on the
-matching defect between outward and inward sweeps.
+the reversed nodes.  Bound-state energies are roots of the matching defect
+between outward and inward sweeps, on either spacing, found by the Illinois
+variant of regula falsi (Dowell & Jarratt, BIT 11, 1971).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (BracketError, DomainError, IntegrationDiverged,
 from .potentials import PotentialTerms, evaluate_terms, term_with_power
 
 _OVERFLOW_LIMIT = 1e250
-_MAX_BISECTIONS = 200
+_MAX_ITERATIONS = 200
 
 
 class Spacing(Enum):
@@ -68,16 +69,36 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class ShootingResult:
+    """``iterations`` counts root-finder steps and ``evaluations`` defect
+    calls (the steps plus the two bracket ends).  ``nodes`` counts the sign
+    changes of the outward sweep below the match node plus those of the
+    inward sweep above it, at the returned energy: 0 for a ground state."""
+
     energy: float
     match_defect: float
     iterations: int
     converged: bool
+    evaluations: int
+    nodes: int
 
 
 def _f_values(terms: PotentialTerms, kappa: float, lam: float,
               r: np.ndarray) -> np.ndarray:
     """f(r) = V(r) + (lam^2 - 1/4)/r^2 - kappa at the nodes r."""
     return evaluate_terms(terms, r) + (lam * lam - 0.25) / r**2 - kappa
+
+
+def _sweep_variables(spacing: Spacing, r: np.ndarray,
+                     f: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, g, scale) such that y'' = f y on the nodes r becomes u'' = g u on
+    equally spaced x, with y = scale * u.
+
+    A uniform grid is swept in r itself.  On a log grid, x = ln r and
+    y = r^(1/2) u turn y'' = f y into u'' = (r^2 f + 1/4) u.
+    """
+    if spacing is Spacing.UNIFORM:
+        return r, f, np.ones_like(r)
+    return np.log(r), r * r * f + 0.25, np.sqrt(r)
 
 
 def _numerov(x: np.ndarray, g: np.ndarray, u0: float, u1: float,
@@ -88,19 +109,21 @@ def _numerov(x: np.ndarray, g: np.ndarray, u0: float, u1: float,
     sweep index and its x."""
     h = x[1] - x[0]
     h2 = h * h / 12.0
-    n = len(x)
-    u = np.empty(n)
-    u[0], u[1] = u0, u1
-    for i in range(1, n - 1):
-        u[i + 1] = ((2.0 + 10.0 * h2 * g[i]) * u[i]
-                    - (1.0 - h2 * g[i - 1]) * u[i - 1]) / (1.0 - h2 * g[i + 1])
-        if not math.isfinite(u[i + 1]):
+    # the step's coefficients as Python floats: the loop is the hot path, and
+    # indexing a list costs a fraction of indexing an array
+    a = (2.0 + 10.0 * h2 * g).tolist()
+    b = (1.0 - h2 * g).tolist()
+    u = [float(u0), float(u1)]
+    for i in range(1, len(a) - 1):
+        nxt = (a[i] * u[i] - b[i - 1] * u[i - 1]) / b[i + 1]
+        if not math.isfinite(nxt):
             raise IntegrationDiverged("integration overflowed", i, float(x[i]))
-        if abs(u[i + 1]) > _OVERFLOW_LIMIT:
+        u.append(nxt)
+        if abs(nxt) > _OVERFLOW_LIMIT:
             if raise_on_overflow:
                 raise IntegrationDiverged("integration overflowed", i + 1, float(x[i + 1]))
-            u[: i + 2] /= _OVERFLOW_LIMIT
-    return u
+            u = [v / _OVERFLOW_LIMIT for v in u]
+    return np.array(u)
 
 
 def integrate_radial(terms: PotentialTerms, kappa: float, lam: float,
@@ -117,13 +140,7 @@ def integrate_radial(terms: PotentialTerms, kappa: float, lam: float,
     if not (math.isfinite(y0) and math.isfinite(y1)) or (y0 == 0.0 and y1 == 0.0):
         raise DomainError("seeds must be finite and not both zero")
     r = grid.nodes()
-    f = _f_values(terms, kappa, lam, r)
-    if grid.spacing is Spacing.UNIFORM:
-        x, g, scale = r, f, np.ones_like(r)
-    else:
-        # x = ln r and y = r^(1/2) u turn y'' = f y into u'' = (r^2 f + 1/4) u,
-        # so a log grid is uniform in x
-        x, g, scale = np.log(r), r * r * f + 0.25, np.sqrt(r)
+    x, g, scale = _sweep_variables(grid.spacing, r, _f_values(terms, kappa, lam, r))
     sweep = np.arange(len(r))
     if direction is Direction.INWARD:
         sweep = sweep[::-1]
@@ -156,73 +173,90 @@ def finite_difference_residual(r: np.ndarray, y: np.ndarray,
     return float(np.max(res))
 
 
-def _match_index(terms: PotentialTerms, lam: float, r: np.ndarray) -> int:
-    return int(np.clip(np.argmin(_f_values(terms, 0.0, lam, r)), 5, len(r) - 6))
+def _sign_changes(u: np.ndarray) -> int:
+    return int(np.count_nonzero(np.sign(u[:-1]) * np.sign(u[1:]) < 0.0))
 
 
-def _matching_defect(terms: PotentialTerms, lam: float, energy: float,
-                     r: np.ndarray, imatch: int, inner_decay: float) -> float:
-    """Normalized Wronskian of the outward and inward sweeps at the match node.
+def _matching_defect(x: np.ndarray, g: np.ndarray, scale: np.ndarray,
+                     r: np.ndarray, imatch: int, inner_decay: float,
+                     energy: float) -> Tuple[float, int]:
+    """Normalized Wronskian, in x, of the outward and inward sweeps of
+    u'' = g u at the match node, and the sweeps' sign changes on either side
+    of it.  The Wronskian in x has the same zeros as the one in r.
 
     Seeds are the generic decay forms exp(-inner_decay / r) at the origin
     and exp(-sqrt(-E) r) at infinity, never the closed-form wavefunction.
     """
-    h = r[1] - r[0]
-    f = _f_values(terms, energy, lam, r)
-    out = _numerov(r[: imatch + 3], f[: imatch + 3],
-                   math.exp(inner_decay * (1.0 / r[1] - 1.0 / r[0])), 1.0,
-                   raise_on_overflow=False)
+    h = x[1] - x[0]
+    out = _numerov(x[: imatch + 3], g[: imatch + 3],
+                   math.exp(inner_decay * (1.0 / r[1] - 1.0 / r[0])) / scale[0],
+                   1.0 / scale[1], raise_on_overflow=False)
     decay = math.sqrt(-energy)
-    rev = _numerov(r[imatch - 2:][::-1], f[imatch - 2:][::-1],
-                   math.exp(-decay * (r[-1] - r[-2])), 1.0,
+    rev = _numerov(x[imatch - 2:][::-1], g[imatch - 2:][::-1],
+                   math.exp(-decay * (r[-1] - r[-2])) / scale[-1], 1.0 / scale[-2],
                    raise_on_overflow=False)
-    inn = rev[::-1]  # inn[k] is the inward solution at r[imatch - 2 + k]
+    inn = rev[::-1]  # inn[k] is the inward solution at x[imatch - 2 + k]
     j = 2
     d_out = (-out[imatch + 2] + 8.0 * out[imatch + 1]
              - 8.0 * out[imatch - 1] + out[imatch - 2]) / (12.0 * h)
     d_in = (-inn[j + 2] + 8.0 * inn[j + 1] - 8.0 * inn[j - 1] + inn[j - 2]) / (12.0 * h)
-    wronskian = d_out * inn[j] - d_in * out[imatch]
-    norm = math.sqrt((d_out**2 + out[imatch] ** 2) * (d_in**2 + inn[j] ** 2))
-    return wronskian / norm
+    # each sweep is normalized on its own, so the products cannot overflow
+    n_out, n_in = math.hypot(d_out, out[imatch]), math.hypot(d_in, inn[j])
+    defect = (d_out / n_out) * (inn[j] / n_in) - (d_in / n_in) * (out[imatch] / n_out)
+    nodes = _sign_changes(out[: imatch + 1]) + _sign_changes(inn[j:])
+    return float(defect), nodes
 
 
 def shoot_ground_energy(terms: PotentialTerms, bracket: Tuple[float, float],
                         grid: RadialGrid, tolerance: float = 1e-10) -> ShootingResult:
-    """Bisect the matching defect for the bound-state energy in the bracket.
+    """Find the bound-state energy in the bracket as a root of the matching
+    defect, by Illinois steps, on a uniform or a log grid.
 
     The bracket must satisfy E_lo < E_hi < 0 and contain a sign change of
     the defect; the match node sits at the minimum of the effective
-    potential.  Requires a uniform grid.
+    potential.  The result is converged when |defect| <= tolerance.  The
+    grid must reach far enough out that exp(-sqrt(-E) r_max) is negligible.
     """
+    require_finite(tolerance=tolerance)
     e_lo, e_hi = bracket
     if not (e_lo < e_hi < 0.0):
         raise DomainError("bracket must satisfy E_lo < E_hi < 0")
-    if grid.spacing is not Spacing.UNIFORM:
-        raise DomainError("shooting requires a uniform grid")
     r = grid.nodes()
-    imatch = _match_index(terms, 0.0, r)
+    f0 = _f_values(terms, 0.0, 0.0, r)
+    imatch = int(np.clip(np.argmin(f0), 5, len(r) - 6))
     a4 = term_with_power(terms, 4.0)
     if a4 <= 0.0:
         raise DomainError("shooting seeds need a repulsive r^-4 term")
     inner_decay = math.sqrt(a4)
 
-    def defect(energy: float) -> float:
-        return _matching_defect(terms, 0.0, energy, r, imatch, inner_decay)
+    def defect(energy: float) -> Tuple[float, int]:
+        x, g, scale = _sweep_variables(grid.spacing, r, f0 - energy)
+        return _matching_defect(x, g, scale, r, imatch, inner_decay, energy)
 
-    g_lo, g_hi = defect(e_lo), defect(e_hi)
+    (g_lo, _), (g_hi, _) = defect(e_lo), defect(e_hi)
     if not (math.isfinite(g_lo) and math.isfinite(g_hi)) or g_lo * g_hi > 0.0:
         raise BracketError("matching defect has no sign change in the bracket")
-    e_mid, g_mid = e_lo, g_lo
-    for iteration in range(1, _MAX_BISECTIONS + 1):
-        e_mid = 0.5 * (e_lo + e_hi)
-        g_mid = defect(e_mid)
-        if abs(g_mid) <= tolerance or (e_hi - e_lo) < 1e-14 * abs(e_mid):
+    # Illinois: a regula falsi step, halving the defect at an end that stays
+    # put for a second step in a row, so that both ends close in on the root
+    moved = None
+    for iteration in range(1, _MAX_ITERATIONS + 1):
+        # clamped, since rounding can put the step an ulp outside the bracket
+        energy = min(max(e_hi - g_hi * (e_hi - e_lo) / (g_hi - g_lo), e_lo), e_hi)
+        g, nodes = defect(energy)
+        if abs(g) <= tolerance or (e_hi - e_lo) < 1e-14 * abs(energy):
             break
-        if g_lo * g_mid <= 0.0:
-            e_hi, g_hi = e_mid, g_mid
+        if (g > 0.0) == (g_hi > 0.0):
+            e_hi, g_hi = energy, g
+            if moved == "hi":
+                g_lo *= 0.5
+            moved = "hi"
         else:
-            e_lo, g_lo = e_mid, g_mid
+            e_lo, g_lo = energy, g
+            if moved == "lo":
+                g_hi *= 0.5
+            moved = "lo"
     else:
-        raise NoConvergence("bisection exhausted its iteration budget")
-    return ShootingResult(energy=e_mid, match_defect=g_mid,
-                          iterations=iteration, converged=abs(g_mid) <= tolerance)
+        raise NoConvergence("root finder exhausted its iteration budget")
+    return ShootingResult(energy=energy, match_defect=g, iterations=iteration,
+                          converged=abs(g) <= tolerance,
+                          evaluations=iteration + 2, nodes=nodes)

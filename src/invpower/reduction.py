@@ -14,6 +14,7 @@ Wavefunctions are left unnormalized throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -65,11 +66,15 @@ def reduce_problem(setup: QuantumSetup, physical_terms: PotentialTerms = ()) -> 
     ``physical_terms`` are (strength, power) pairs of U(r) in energy units;
     each strength is rescaled by 2 m / hbar^2.
     """
-    scale = 2.0 * setup.mass / setup.hbar**2
+    # dividing by hbar twice keeps 2 m / hbar^2 in range where hbar^2 is not
+    scale = 2.0 * setup.mass / setup.hbar / setup.hbar
+    if not 0.0 < scale < math.inf:
+        raise DomainError(f"2 m / hbar^2 = {scale!r} is outside the floating-point range")
     kappa = scale * setup.energy
+    require_finite(kappa=kappa)
     lam = setup.angular_momentum + 0.5 * (setup.dimension - 2)
     for s, p in physical_terms:
-        require_finite(term_strength=s, term_power=p)
+        require_finite(term_strength=s, term_power=p, reduced_term_strength=scale * s)
     terms = tuple((scale * s, float(p)) for s, p in physical_terms)
     return ReducedProblem(kappa=kappa, lam=lam, terms=terms)
 

@@ -65,7 +65,7 @@ class SeriesConfig:
                 "beta must be an even integer >= 4: the coefficient recurrence "
                 "only closes when beta/2 is an integer (odd or non-integer "
                 "beta does not admit a power-series algorithm)")
-        require_finite(kappa=self.kappa, lam=self.lam)
+        require_finite(kappa=self.kappa, lam=self.lam, lam_squared=self.lam * self.lam)
         if self.kappa <= 0.0:
             raise DomainError("kappa must be positive")
         if self.epsilon not in (1, -1):

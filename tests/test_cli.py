@@ -140,6 +140,29 @@ def test_verify_ground_pass(capsys):
     assert payload["relative_energy_error"] <= 1e-6
 
 
+def test_verify_ground_shallow_state_on_defaults(capsys):
+    # E = -0.25: the default grid reaches r = 35 / sqrt(-E_hi) = 99
+    payload = run_json(capsys, "verify", "--target", "ground",
+                       "--A", "1", "--B", "0", "--D", "-1")
+    assert payload["status"] == "pass"
+    assert payload["relative_energy_error"] <= 1e-9
+    assert payload["nodes"] == 0
+    assert payload["evaluations"] == payload["iterations"] + 2
+
+
+def test_verify_ground_names_the_failed_checks(capsys):
+    # this bracket holds the first excited state, not the ground state
+    code, out, err = run(capsys, "verify", "--target", "ground", "--A", "0.586",
+                         "--B", "2.517", "--D", "-3.668", "--e-lo", "-0.3",
+                         "--e-hi", "-0.2")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["status"] == "fail"
+    assert payload["nodes"] == 1
+    assert err.count("\n") == 1
+    assert "relative_energy_error" in err and "nodes 1 > 0" in err
+
+
 def test_verify_ground_fail_exit_code(capsys):
     # an empty bracket is a domain error, not a verification failure
     code, _, err = run(capsys, "verify", "--target", "ground", "--A", "1",
@@ -180,6 +203,16 @@ SERIES_ARGS = ("series", "--alpha", "1", "--beta", "6", "--kappa", "1")
     pytest.param(REDUCE_ARGS + ("--mass", "1", "--term", "inf", "4"), id="reduce-term-inf"),
     pytest.param(SERIES_ARGS + ("--lambda", "nan"), id="series-lambda-nan"),
     pytest.param(SERIES_ARGS + ("--s-max", "400"), id="series-s-max-overflow"),
+    pytest.param(("verify", "--target", "ground", "--A", "1", "--B", "2", "--D", "-4",
+                  "--tolerance", "nan"), id="verify-tolerance-nan"),
+    pytest.param(REDUCE_ARGS + ("--mass", "1", "--hbar", "1e308"), id="reduce-hbar-overflow"),
+    pytest.param(REDUCE_ARGS + ("--mass", "1e308"), id="reduce-mass-overflow"),
+    pytest.param(SERIES_ARGS + ("--lambda", "1e308"), id="series-lambda-overflow"),
+    pytest.param(("ground", "--A", "1", "--B", "2", "--D=-1e308"), id="ground-D-overflow"),
+    pytest.param(("ground", "--A", "1", "--B", "1e308", "--D", "-4"), id="ground-B-overflow"),
+    # the residual overflows: only the final non-finite output check sees it
+    pytest.param(("series", "--alpha", "1e308", "--beta", "6", "--kappa", "1"),
+                 id="series-alpha-overflow"),
 ])
 def test_non_finite_input_and_overflow_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -192,3 +225,15 @@ def test_series_default_grid_is_the_validity_range(capsys):
     payload = run_json(capsys, "series", "--alpha", "1", "--beta", "6",
                        "--kappa", "1", "--lambda", "0.5")
     assert payload["max_residual"] <= 1e-8
+
+
+def test_usage_errors_exit_1(capsys):
+    # exit code 2 is reserved for a failed verification
+    with pytest.raises(SystemExit) as info:
+        main(["asym", "--alpha", "1", "--beta", "6", "--bogus", "1"])
+    assert info.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    for argv in (["--help"], ["--version"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0

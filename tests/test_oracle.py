@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from invpower import oracle
 from invpower import (BracketError, Direction, DomainError,
                       IntegrationDiverged, RadialGrid, Spacing,
                       evaluate_ground_state, finite_difference_residual,
@@ -121,6 +122,30 @@ class TestIntegrate:
         assert log_y[i] == pytest.approx(math.log(1e250), abs=5.0)
 
 
+def _numerov_reference(x, g, u0, u1):
+    """The Numerov step written out on arrays, element by element."""
+    h2 = (x[1] - x[0]) ** 2 / 12.0
+    u = np.empty(len(x))
+    u[0], u[1] = u0, u1
+    for i in range(1, len(x) - 1):
+        u[i + 1] = ((2.0 + 10.0 * h2 * g[i]) * u[i]
+                    - (1.0 - h2 * g[i - 1]) * u[i - 1]) / (1.0 - h2 * g[i + 1])
+        if abs(u[i + 1]) > oracle._OVERFLOW_LIMIT:
+            u[: i + 2] /= oracle._OVERFLOW_LIMIT
+    return u
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_numerov_matches_array_reference(seed):
+    # same arithmetic in the same order, so equal to the last bit, through
+    # the overflow rescaling too
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, 20.0, 3_000)[:: 1 if seed % 2 else -1]
+    g = rng.uniform(-50.0, 5_000.0, x.size)  # grows by about e^1000
+    u = oracle._numerov(x, g, 1.0, 1.1, raise_on_overflow=False)
+    assert np.array_equal(u, _numerov_reference(x, g, 1.0, 1.1))
+
+
 class TestFiniteDifference:
     def test_zero_function(self):
         r = np.linspace(0.1, 1.0, 50)
@@ -189,3 +214,39 @@ class TestShooting:
         a = shoot_ground_energy(terms, (-2.0, -0.5), self.GRID)
         b = shoot_ground_energy(terms, (-2.0, -0.5), self.GRID)
         assert a == b
+
+
+FAMILY = [((1.0, 4.0), (2.0, 3.0), (0.25, 2.0), (-4.0, 1.0)),
+          ((4.0, 4.0), (0.0, 3.0), (-3.75, 2.0), (-2.0, 1.0))]
+
+
+class TestIllinoisShooting:
+    @pytest.mark.parametrize("terms", FAMILY, ids=["first", "second"])
+    def test_evaluations_bounded(self, terms):
+        # the criterion-6 grid and bracket; bisection needed 34 evaluations
+        result = shoot_ground_energy(terms, (-2.0, -0.5), TestShooting.GRID)
+        assert result.converged
+        assert result.evaluations == result.iterations + 2
+        assert result.evaluations <= 12
+
+    @pytest.mark.parametrize("terms", FAMILY, ids=["first", "second"])
+    def test_log_grid(self, terms):
+        # r_max = 35 / sqrt(-E_hi): the decaying tail is resolved out to e^-35
+        grid = RadialGrid(0.08, 50.0, 2_000, Spacing.LOG)
+        result = shoot_ground_energy(terms, (-2.0, -0.5), grid)
+        assert result.converged
+        assert result.nodes == 0
+        assert result.energy == pytest.approx(-1.0, rel=1e-9)
+
+    def test_node_count_names_the_state(self):
+        # the bracket (2E, E/2) of this ground state also holds E_1
+        A, B, D = 0.586, 2.517, -3.668
+        sol = solve_ground_state(A, B, D)
+        terms = ((A, 4.0), (B, 3.0), (sol.required_C, 2.0), (D, 1.0))
+        grid = RadialGrid(0.08, 80.0, 2_000, Spacing.LOG)
+        excited = shoot_ground_energy(terms, (-0.30, -0.20), grid)
+        assert excited.nodes == 1
+        assert excited.energy == pytest.approx(-0.2537, abs=1e-4)
+        ground = shoot_ground_energy(terms, (-0.9, -0.3), grid)
+        assert ground.nodes == 0
+        assert ground.energy == pytest.approx(sol.energy, rel=1e-9)
