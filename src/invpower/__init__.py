@@ -4,15 +4,14 @@ construction of scattering solutions for even beta, closed-form ground
 states for a four-term inverse-power potential, and an independent
 numerical oracle verifying all of the above."""
 
-from .asymptotics import (OdeCoefficients, OriginAsymptotics, PotentialMonomial,
-                          general_ode_coefficients, ode_coefficients,
-                          origin_params, special_p)
+from .asymptotics import (OriginAsymptotics, PotentialMonomial, origin_params,
+                          special_p)
 from .errors import (BracketError, ConfigurationError, ConsistencyViolation,
                      DegenerateC, DomainError, IntegrationDiverged,
                      NoConvergence, NotNormalizable)
-from .groundstate import (GroundStateSolution, MultiTermPotential,
-                          constraint_mismatch, evaluate_ground_state,
-                          ground_state_residual, solve_ground_state)
+from .groundstate import (GroundStateSolution, constraint_mismatch,
+                          evaluate_ground_state, ground_state_residual,
+                          solve_ground_state)
 from .oracle import (Direction, RadialGrid, ShootingResult, Spacing,
                      finite_difference_residual, integrate_radial,
                      shoot_ground_energy)
@@ -27,15 +26,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BracketError", "ConfigurationError", "ConsistencyViolation",
     "DegenerateC", "Direction", "DomainError", "GroundStateSolution",
-    "IntegrationDiverged", "MultiTermPotential", "NoConvergence",
-    "NotNormalizable", "OdeCoefficients",
+    "IntegrationDiverged", "NoConvergence", "NotNormalizable",
     "OriginAsymptotics", "PotentialMonomial", "QuantumSetup", "RadialGrid",
     "ReducedProblem", "SeriesConfig", "SeriesSolution", "ShootingResult",
     "Spacing", "Strategy", "build_series", "constraint_mismatch",
     "evaluate_ground_state", "evaluate_solution", "evaluate_terms",
-    "finite_difference_residual", "general_ode_coefficients",
-    "ground_state_residual", "integrate_radial", "ode_coefficients",
-    "ode_residual", "origin_params", "recurrence_residual",
+    "finite_difference_residual", "ground_state_residual",
+    "integrate_radial", "ode_residual", "origin_params", "recurrence_residual",
     "reduce_problem", "shoot_ground_energy", "solve_ground_state",
     "special_p", "to_full_wavefunction",
 ]

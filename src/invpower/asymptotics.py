@@ -1,4 +1,4 @@
-"""Near-origin asymptotics and coefficient functions of the interpolating ODE.
+"""Near-origin asymptotics of the single-term inverse-power potential.
 
 For the repulsive single-term potential V(r) = alpha * r^(-beta) with
 beta > 2, the regular solution behaves like
@@ -6,20 +6,14 @@ beta > 2, the regular solution behaves like
     y(r) ~ r^p * exp(-gamma * r^(-delta))    as r -> 0
 
 with gamma^2 delta^2 = alpha and 2 delta + 2 = beta, hence
-delta = beta/2 - 1 and gamma = 2 sqrt(alpha)/(beta - 2).  At infinity
-y ~ exp(i * epsilon * r * sqrt(kappa)) for the two branches epsilon = +-1.
-
-Factoring both asymptotic pieces out of y leaves an interpolating function
-F(r) solving F'' + p(r) F' + q(r) F = 0; this module builds p and q both in
-the general (gamma, delta) form and in the specialized form obtained once
-the consistency conditions are imposed.
+delta = beta/2 - 1 and gamma = 2 sqrt(alpha)/(beta - 2).  This module
+gives (gamma, delta) and the exponent p = beta/4 of the prefactor r^p.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -52,25 +46,6 @@ class OriginAsymptotics:
     delta: float
 
 
-@dataclass(frozen=True)
-class OdeCoefficients:
-    """Callables p(r), q(r) of F'' + p F' + q F = 0, plus their provenance."""
-
-    p: Callable
-    q: Callable
-    alpha: float
-    beta: float
-    kappa: float
-    lam: float
-    epsilon: int
-
-
-def _check_epsilon(epsilon: int) -> int:
-    if epsilon not in (1, -1):
-        raise DomainError("epsilon must be +1 or -1")
-    return epsilon
-
-
 def origin_params(pot: PotentialMonomial) -> OriginAsymptotics:
     """Solve the near-origin consistency conditions for (gamma, delta).
 
@@ -97,74 +72,3 @@ def special_p(beta: float) -> float:
     if beta <= 2.0:
         raise DomainError("beta must exceed 2")
     return beta / 4.0
-
-
-def ode_coefficients(pot: PotentialMonomial, kappa: float, lam: float,
-                     epsilon: int) -> OdeCoefficients:
-    """Specialized coefficient functions, valid once the origin conditions hold.
-
-        p(r) = 2 sqrt(alpha) r^(-beta/2) + 2 i eps sqrt(kappa)
-        q(r) = -(beta/2) sqrt(alpha) r^(-beta/2 - 1)
-               + 2 i eps sqrt(alpha kappa) r^(-beta/2)
-               - (lam^2 - 1/4) / r^2
-
-    Only the scattering branch kappa > 0 is meaningful here.
-    """
-    _check_epsilon(epsilon)
-    if kappa <= 0.0:
-        raise DomainError("kappa must be positive for the scattering branch")
-    alpha, beta = pot.alpha, pot.beta
-    sqa = math.sqrt(alpha)
-    sqk = math.sqrt(kappa)
-    sqak = math.sqrt(alpha * kappa)
-    cent = lam * lam - 0.25
-
-    def p(r):
-        r = np.asarray(r, dtype=float)
-        return 2.0 * sqa * r ** (-0.5 * beta) + 2j * epsilon * sqk
-
-    def q(r):
-        r = np.asarray(r, dtype=float)
-        return (-0.5 * beta * sqa * r ** (-0.5 * beta - 1.0)
-                + 2j * epsilon * sqak * r ** (-0.5 * beta)
-                - cent / r**2)
-
-    return OdeCoefficients(p=p, q=q, alpha=alpha, beta=beta,
-                           kappa=kappa, lam=lam, epsilon=epsilon)
-
-
-def general_ode_coefficients(pot: PotentialMonomial, gamma: float, delta: float,
-                             kappa: float, lam: float, epsilon: int) -> OdeCoefficients:
-    """Coefficient functions for arbitrary (gamma, delta), no conditions assumed.
-
-        p(r) = 2 gamma delta r^(-delta-1) + 2 i eps sqrt(kappa)
-        q(r) = gamma^2 delta^2 r^(-2 delta - 2)
-               - gamma delta (delta + 1) r^(-delta - 2)
-               + 2 i eps gamma delta sqrt(kappa) r^(-delta - 1)
-               - alpha r^(-beta) - (lam^2 - 1/4)/r^2
-
-    Serves as a cross-check: with (gamma, delta) from :func:`origin_params`
-    this agrees pointwise with :func:`ode_coefficients`.
-    """
-    _check_epsilon(epsilon)
-    if gamma <= 0.0 or delta <= 0.0:
-        raise DomainError("gamma and delta must be positive")
-    alpha, beta = pot.alpha, pot.beta
-    sqk = math.sqrt(kappa)
-    gd = gamma * delta
-    cent = lam * lam - 0.25
-
-    def p(r):
-        r = np.asarray(r, dtype=float)
-        return 2.0 * gd * r ** (-delta - 1.0) + 2j * epsilon * sqk
-
-    def q(r):
-        r = np.asarray(r, dtype=float)
-        return (gd * gd * r ** (-2.0 * delta - 2.0)
-                - gd * (delta + 1.0) * r ** (-delta - 2.0)
-                + 2j * epsilon * gd * sqk * r ** (-delta - 1.0)
-                - alpha * r ** (-beta)
-                - cent / r**2)
-
-    return OdeCoefficients(p=p, q=q, alpha=alpha, beta=beta,
-                           kappa=kappa, lam=lam, epsilon=epsilon)

@@ -1,10 +1,8 @@
 """Command-line front end: reduce / asym / series / ground / verify.
 
-All physics flags are in reduced units unless the ``--physical`` group
-(mass, hbar, energy, dimension, angular momentum) is used, in which case the
-inputs are routed through the reduction stage first.  Data artifacts go to
-stdout or files; diagnostics go to stderr.  Exit codes: 0 success, 1 usage,
-domain or configuration error, 2 verification failure.
+Every flag except those of ``reduce`` is in reduced units.  Data artifacts
+go to stdout or files; diagnostics go to stderr.  Exit codes: 0 success,
+1 usage, domain or configuration error, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -13,7 +11,9 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
+from collections import namedtuple
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,11 +32,7 @@ from .series import (SeriesConfig, Strategy, build_series, evaluate_solution,
 
 _USER_ERRORS = (DomainError, ConfigurationError, DegenerateC, NotNormalizable,
                 BracketError, ConsistencyViolation, NoConvergence,
-                IntegrationDiverged)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+                IntegrationDiverged, OSError)
 
 
 def _emit(payload: dict) -> None:
@@ -52,7 +48,7 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([f"{v:.17g}" for v in row])
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -70,19 +66,34 @@ def _load_config(path: Optional[str]) -> dict:
     return values
 
 
-def _merged(args: argparse.Namespace, key: str, cast=float, default=None):
-    """Explicit flags win over config-file values, which win over defaults."""
-    value = getattr(args, key, None)
+def _merged(args: argparse.Namespace, key: str, default=None):
+    """Explicit flags win over config-file values, which win over defaults.
+
+    A config value counts only for a subcommand that has the flag; it goes
+    through the flag's own type and choices.
+    """
+    if not hasattr(args, key):
+        return default
+    value = getattr(args, key)
     if value is not None:
         return value
-    config = getattr(args, "_config", {})
-    if key in config:
-        return cast(config[key])
-    return default
+    flag = _FLAGS[key]
+    name = flag.option.lstrip("-").replace("-", "_")
+    if name not in args._config:
+        return default
+    raw = args._config[name]
+    try:
+        value = flag.type(raw)
+    except ValueError:
+        raise ConfigurationError(f"config key '{name}': invalid value {raw!r}") from None
+    if flag.choices is not None and value not in flag.choices:
+        raise ConfigurationError(
+            f"config key '{name}': {raw!r} is not one of {list(flag.choices)}")
+    return value
 
 
-def _require(args: argparse.Namespace, key: str, cast=float):
-    value = _merged(args, key, cast)
+def _require(args: argparse.Namespace, key: str):
+    value = _merged(args, key)
     if value is None:
         raise DomainError(f"missing required parameter '{key}'")
     return value
@@ -91,10 +102,22 @@ def _require(args: argparse.Namespace, key: str, cast=float):
 def _grid_from(args: argparse.Namespace, r_min: float, r_max: float, n: int,
                spacing: Spacing = Spacing.UNIFORM) -> RadialGrid:
     return RadialGrid(
-        r_min=_merged(args, "r_min", float, r_min),
-        r_max=_merged(args, "r_max", float, r_max),
-        n_points=int(_merged(args, "n_points", int, n)),
+        r_min=_merged(args, "r_min", r_min),
+        r_max=_merged(args, "r_max", r_max),
+        n_points=_merged(args, "n_points", n),
         spacing=spacing,
+    )
+
+
+def _series_config(args: argparse.Namespace) -> SeriesConfig:
+    return SeriesConfig(
+        pot=PotentialMonomial(alpha=_require(args, "alpha"), beta=_require(args, "beta")),
+        kappa=_require(args, "kappa"),
+        lam=_merged(args, "lam", 0.0),
+        epsilon=_merged(args, "epsilon", 1),
+        s_min=_merged(args, "s_min", 0),
+        s_max=_merged(args, "s_max", 40),
+        strategy=_merged(args, "strategy", Strategy.ONE_SIDED),
     )
 
 
@@ -102,12 +125,11 @@ def _cmd_reduce(args) -> int:
     setup = QuantumSetup(
         mass=_require(args, "mass"),
         hbar=_require(args, "hbar"),
-        dimension=int(_require(args, "dimension", int)),
-        angular_momentum=int(_require(args, "angular_momentum", int)),
+        dimension=_require(args, "dimension"),
+        angular_momentum=_require(args, "angular_momentum"),
         energy=_require(args, "energy"),
     )
-    terms = [(float(s), float(p)) for s, p in (args.term or [])]
-    reduced = reduce_problem(setup, terms)
+    reduced = reduce_problem(setup, args.term or ())
     payload = {"kappa": reduced.kappa, "lambda": reduced.lam}
     for i, (s, p) in enumerate(reduced.terms):
         payload[f"term_{i}_strength"] = s
@@ -131,18 +153,8 @@ def _cmd_asym(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    pot = PotentialMonomial(alpha=_require(args, "alpha"), beta=_require(args, "beta"))
-    config = SeriesConfig(
-        pot=pot,
-        kappa=_require(args, "kappa"),
-        lam=_merged(args, "lam", float, 0.0),
-        epsilon=int(_merged(args, "epsilon", int, 1)),
-        s_min=int(_merged(args, "s_min", int, 0)),
-        s_max=int(_merged(args, "s_max", int, 40)),
-        strategy=Strategy(_merged(args, "strategy", str, "one_sided")),
-    )
-    sol = build_series(config)
-    origin = origin_params(pot)
+    sol = build_series(_series_config(args))
+    origin = origin_params(sol.config.pot)
     if args.coeff_out:
         rows = [(float(s), sol.coefficients[s].real, sol.coefficients[s].imag)
                 for s in sorted(sol.coefficients)]
@@ -168,7 +180,7 @@ def _cmd_series(args) -> int:
 
 def _cmd_ground(args) -> int:
     A = _require(args, "A")
-    B = _merged(args, "B", float, 0.0)
+    B = _merged(args, "B", 0.0)
     D = _require(args, "D")
     sol = solve_ground_state(A, B, D)
     payload = {
@@ -180,7 +192,7 @@ def _cmd_ground(args) -> int:
         "required_C": sol.required_C,
         "c_negative": sol.c_negative,
     }
-    user_c = _merged(args, "C", float)
+    user_c = _merged(args, "C")
     if user_c is not None:
         require_finite(C=user_c)
         payload["C"] = user_c
@@ -193,28 +205,25 @@ def _cmd_ground(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    target = _merged(args, "target", str, "ground")
-    if target == "ground":
+    if _merged(args, "target", "ground") == "ground":
         return _verify_ground(args)
-    if target == "series":
-        return _verify_series(args)
-    raise DomainError("verify target must be 'ground' or 'series'")
+    return _verify_series(args)
 
 
 def _verify_ground(args) -> int:
     A = _require(args, "A")
-    B = _merged(args, "B", float, 0.0)
+    B = _merged(args, "B", 0.0)
     D = _require(args, "D")
     sol = solve_ground_state(A, B, D)
     terms = ((A, 4.0), (B, 3.0), (sol.required_C, 2.0), (D, 1.0))
-    e_lo = _merged(args, "e_lo", float, 2.0 * sol.energy)
-    e_hi = _merged(args, "e_hi", float, 0.5 * sol.energy)
+    e_lo = _merged(args, "e_lo", 2.0 * sol.energy)
+    e_hi = _merged(args, "e_hi", 0.5 * sol.energy)
     # the inward seed exp(-sqrt(-E) r) stands for the decaying tail, so the
     # grid reaches out to sqrt(-E) r_max = 35 for the shallowest energy in
     # the bracket (shoot_ground_energy rejects e_hi >= 0)
     r_max = max(14.0, 35.0 / math.sqrt(-e_hi)) if e_hi < 0.0 else 14.0
     grid = _grid_from(args, r_min=0.08, r_max=r_max, n=2000, spacing=Spacing.LOG)
-    tolerance = _merged(args, "tolerance", float, 1e-10)
+    tolerance = _merged(args, "tolerance", 1e-10)
     result = shoot_ground_energy(terms, (e_lo, e_hi), grid, tolerance=tolerance)
     rel_err = abs(result.energy - sol.energy) / abs(sol.energy)
     r = np.linspace(max(grid.r_min, 0.1), min(grid.r_max, 10.0), 2001)
@@ -243,21 +252,16 @@ def _verify_ground(args) -> int:
 
 
 def _verify_series(args) -> int:
-    pot = PotentialMonomial(alpha=_require(args, "alpha"), beta=_require(args, "beta"))
-    kappa = _require(args, "kappa")
-    lam = _merged(args, "lam", float, 0.0)
-    epsilon = int(_merged(args, "epsilon", int, 1))
-    config = SeriesConfig(pot=pot, kappa=kappa, lam=lam, epsilon=epsilon,
-                          s_max=int(_merged(args, "s_max", int, 40)))
+    config = _series_config(args)
     sol = build_series(config)
-    origin = origin_params(pot)
+    origin = origin_params(config.pot)
     grid = _grid_from(args, r_min=0.05, r_max=0.2, n=801)
-    terms = ((pot.alpha, pot.beta),)
+    terms = ((config.pot.alpha, config.pot.beta),)
 
     def gap_on(n_points: int):
         rr = np.linspace(grid.r_min, grid.r_max, n_points)
         fd = finite_difference_residual(rr, evaluate_solution(sol, origin, rr),
-                                        terms, kappa, lam)
+                                        terms, config.kappa, config.lam)
         reference = float(np.max(ode_residual(sol, origin, rr[1:-1])))
         return fd, abs(fd - reference)
 
@@ -278,11 +282,66 @@ def _verify_series(args) -> int:
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Usage errors exit 1, like other input errors: argparse's own code 2
-    means a verification failure here.  Subparsers inherit the class."""
+    means a verification failure here.  A negative number in exponent form
+    is a value, not an option.  Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+# every flag once, keyed by dest
+_Flag = namedtuple("_Flag", "option type choices help", defaults=(None, None))
+_FLAGS = {
+    "config": _Flag("--config", str, help="flat key = value parameter file"),
+    "mass": _Flag("--mass", float),
+    "hbar": _Flag("--hbar", float),
+    "dimension": _Flag("--dimension", int),
+    "angular_momentum": _Flag("--angular-momentum", int),
+    "energy": _Flag("--energy", float),
+    "term": _Flag("--term", float, help="one potential term; repeatable"),
+    "alpha": _Flag("--alpha", float),
+    "beta": _Flag("--beta", float),
+    "kappa": _Flag("--kappa", float),
+    "lam": _Flag("--lambda", float),
+    "epsilon": _Flag("--epsilon", int, (1, -1)),
+    "s_min": _Flag("--s-min", int),
+    "s_max": _Flag("--s-max", int),
+    "strategy": _Flag("--strategy", Strategy, help=" or ".join(s.value for s in Strategy)),
+    "A": _Flag("--A", float),
+    "B": _Flag("--B", float),
+    "C": _Flag("--C", float, help="user-supplied C, reported against required_C"),
+    "D": _Flag("--D", float),
+    "target": _Flag("--target", str, ("ground", "series")),
+    "e_lo": _Flag("--e-lo", float),
+    "e_hi": _Flag("--e-hi", float),
+    "tolerance": _Flag("--tolerance", float),
+    "r_min": _Flag("--r-min", float),
+    "r_max": _Flag("--r-max", float),
+    "n_points": _Flag("--n-points", int),
+    "coeff_out": _Flag("--coeff-out", str, help="CSV path for the coefficient table"),
+    "wave_out": _Flag("--wave-out", str, help="CSV path for the wavefunction table"),
+}
+
+_GRID = ("r_min", "r_max", "n_points")
+# name: (handler, help, flags besides --config)
+_COMMANDS = {
+    "reduce": (_cmd_reduce, "map a physical setup to reduced units",
+               ("mass", "hbar", "dimension", "angular_momentum", "energy", "term")),
+    "asym": (_cmd_asym, "near-origin parameters gamma, delta, omega, p", ("alpha", "beta")),
+    "series": (_cmd_series, "build the even-beta series solution",
+               ("alpha", "beta", "kappa", "lam", "epsilon", "s_min", "s_max", "strategy")
+               + _GRID + ("coeff_out", "wave_out")),
+    "ground": (_cmd_ground, "closed-form ground state for the 4-term potential",
+               ("A", "B", "C", "D", "wave_out") + _GRID),
+    "verify": (_cmd_verify, "cross-check analytic results with the oracle",
+               ("target", "A", "B", "D", "alpha", "beta", "kappa", "lam", "epsilon",
+                "s_max", "e_lo", "e_hi", "tolerance") + _GRID),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,75 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Radial Schrodinger toolkit for repulsive inverse-power potentials")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="flat key = value parameter file")
-
-    p = sub.add_parser("reduce", help="map a physical setup to reduced units")
-    common(p)
-    p.add_argument("--mass", type=float)
-    p.add_argument("--hbar", type=float)
-    p.add_argument("--dimension", type=int)
-    p.add_argument("--angular-momentum", type=int)
-    p.add_argument("--energy", type=float)
-    p.add_argument("--term", nargs=2, action="append", metavar=("STRENGTH", "POWER"))
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("asym", help="near-origin parameters gamma, delta, omega, p")
-    common(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.set_defaults(func=_cmd_asym)
-
-    p = sub.add_parser("series", help="build the even-beta series solution")
-    common(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--epsilon", type=int, choices=(1, -1))
-    p.add_argument("--s-min", type=int)
-    p.add_argument("--s-max", type=int)
-    p.add_argument("--strategy", choices=("one_sided", "windowed"))
-    p.add_argument("--r-min", type=float)
-    p.add_argument("--r-max", type=float)
-    p.add_argument("--n-points", type=int)
-    p.add_argument("--coeff-out", help="CSV path for the coefficient table")
-    p.add_argument("--wave-out", help="CSV path for the wavefunction table")
-    p.set_defaults(func=_cmd_series)
-
-    p = sub.add_parser("ground", help="closed-form ground state for the 4-term potential")
-    common(p)
-    p.add_argument("--A", type=float)
-    p.add_argument("--B", type=float)
-    p.add_argument("--C", type=float, help="user-supplied C, reported against required_C")
-    p.add_argument("--D", type=float)
-    p.add_argument("--wave-out", help="optional CSV of (r, y)")
-    p.add_argument("--r-min", type=float)
-    p.add_argument("--r-max", type=float)
-    p.add_argument("--n-points", type=int)
-    p.set_defaults(func=_cmd_ground)
-
-    p = sub.add_parser("verify", help="cross-check analytic results with the oracle")
-    common(p)
-    p.add_argument("--target", choices=("ground", "series"))
-    p.add_argument("--A", type=float)
-    p.add_argument("--B", type=float)
-    p.add_argument("--D", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--epsilon", type=int, choices=(1, -1))
-    p.add_argument("--s-max", type=int)
-    p.add_argument("--e-lo", type=float)
-    p.add_argument("--e-hi", type=float)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--r-min", type=float)
-    p.add_argument("--r-max", type=float)
-    p.add_argument("--n-points", type=int)
-    p.set_defaults(func=_cmd_verify)
-
+    for name, (func, help_, dests) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(func=func)
+        for dest in ("config",) + dests:
+            flag = _FLAGS[dest]
+            extra = {} if dest != "term" else dict(
+                nargs=2, action="append", metavar=("STRENGTH", "POWER"))
+            p.add_argument(flag.option, dest=dest, type=flag.type, choices=flag.choices,
+                           help=flag.help, **extra)
     return parser
 
 
@@ -367,12 +366,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args._config = _load_config(getattr(args, "config", None))
-        return args.func(args)
+        args._config = _load_config(args.config)
+        # overflow is reported by the validators and _emit, not as warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except _USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

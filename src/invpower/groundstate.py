@@ -31,24 +31,6 @@ _ROUNDING_GUARD = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
-class MultiTermPotential:
-    """Reduced-unit strengths of the four inverse-power terms; A > 0."""
-
-    A: float
-    B: float
-    C: float
-    D: float
-
-    def __post_init__(self):
-        require_finite(A=self.A, B=self.B, C=self.C, D=self.D)
-        if self.A <= 0.0:
-            raise DomainError("A must be positive")
-
-    def terms(self):
-        return ((self.A, 4.0), (self.B, 3.0), (self.C, 2.0), (self.D, 1.0))
-
-
-@dataclass(frozen=True)
 class GroundStateSolution:
     """Exponent data of y = exp(a/r + b r + c log r) and the bound-state energy.
 

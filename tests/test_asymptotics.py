@@ -1,23 +1,8 @@
-import math
-
 import numpy as np
 import pytest
-import sympy as sp
 from hypothesis import given, strategies as st
 
-from invpower import (DomainError, PotentialMonomial, general_ode_coefficients,
-                      ode_coefficients, origin_params, special_p)
-
-
-def sym_coefficients(alpha, beta, kappa, lam, eps, r):
-    """Independent symbolic substitution of the specialized p(r), q(r) forms."""
-    a, b, k, L, rr = sp.Rational(alpha), sp.Rational(beta), sp.Rational(kappa), \
-        sp.Rational(lam), sp.Rational(r)
-    p = 2 * sp.sqrt(a) * rr ** (-b / 2) + 2 * sp.I * eps * sp.sqrt(k)
-    q = (-b / 2 * sp.sqrt(a) * rr ** (-b / 2 - 1)
-         + 2 * sp.I * eps * sp.sqrt(a * k) * rr ** (-b / 2)
-         - (L**2 - sp.Rational(1, 4)) / rr**2)
-    return complex(p), complex(q)
+from invpower import DomainError, PotentialMonomial, origin_params, special_p
 
 
 def test_beta4_limiting_form():
@@ -65,59 +50,6 @@ def test_closure_coefficient_vanishes(beta):
     # with p = beta/4 and delta = beta/2 - 1, the factor (2p - delta - 1) is 0
     origin = origin_params(PotentialMonomial(alpha=1.0, beta=beta))
     assert 2.0 * special_p(beta) - origin.delta - 1.0 == pytest.approx(0.0, abs=1e-14)
-
-
-@pytest.mark.parametrize("alpha,beta,kappa,lam", [
-    (1.0, 4.0, 1.0, 0.5), (2.0, 6.0, 3.0, 1.0), (0.5, 8.0, 0.25, 0.0)])
-def test_specialized_coefficients_match_symbolic(alpha, beta, kappa, lam):
-    coeffs = ode_coefficients(PotentialMonomial(alpha, beta), kappa, lam, epsilon=1)
-    for r in (0.5, 1.0, 2.0):
-        p_ref, q_ref = sym_coefficients(alpha, beta, kappa, lam, 1, r)
-        assert complex(coeffs.p(r)) == pytest.approx(p_ref, rel=1e-13)
-        assert complex(coeffs.q(r)) == pytest.approx(q_ref, rel=1e-13)
-
-
-def test_desk_values_at_r1():
-    coeffs = ode_coefficients(PotentialMonomial(1.0, 4.0), kappa=1.0, lam=0.5, epsilon=1)
-    assert complex(coeffs.p(1.0)) == pytest.approx(2.0 + 2.0j, rel=1e-14)
-    assert complex(coeffs.q(1.0)) == pytest.approx(-2.0 + 2.0j, rel=1e-14)
-
-
-def test_epsilon_conjugation():
-    pot = PotentialMonomial(1.3, 6.0)
-    plus = ode_coefficients(pot, 2.0, 1.0, epsilon=1)
-    minus = ode_coefficients(pot, 2.0, 1.0, epsilon=-1)
-    r = np.geomspace(0.1, 10.0, 25)
-    assert np.allclose(minus.p(r), np.conj(plus.p(r)), rtol=1e-15)
-    assert np.allclose(minus.q(r), np.conj(plus.q(r)), rtol=1e-15)
-
-
-def test_general_form_agrees_when_conditions_hold():
-    pot = PotentialMonomial(2.0, 6.0)
-    origin = origin_params(pot)
-    special = ode_coefficients(pot, 1.5, 1.0, epsilon=1)
-    general = general_ode_coefficients(pot, origin.gamma, origin.delta, 1.5, 1.0, epsilon=1)
-    for r in (0.5, 1.0, 2.0):
-        assert complex(general.p(r)) == pytest.approx(complex(special.p(r)), rel=1e-13)
-        assert complex(general.q(r)) == pytest.approx(complex(special.q(r)), rel=1e-13)
-
-
-def test_general_form_symbolic_value():
-    # gamma = delta = 1, alpha = 1, beta = 4, kappa = 1, lam = 1/2, eps = +1:
-    # q(1) = 1 - 2 + 2i - 1 - 0 = -2 + 2i
-    general = general_ode_coefficients(PotentialMonomial(1.0, 4.0), 1.0, 1.0,
-                                       1.0, 0.5, epsilon=1)
-    assert complex(general.q(1.0)) == pytest.approx(-2.0 + 2.0j, rel=1e-14)
-
-
-def test_general_form_rejects_bad_delta():
-    with pytest.raises(DomainError):
-        general_ode_coefficients(PotentialMonomial(1.0, 4.0), 1.0, -1.0, 1.0, 0.5, 1)
-
-
-def test_scattering_branch_requires_positive_kappa():
-    with pytest.raises(DomainError):
-        ode_coefficients(PotentialMonomial(1.0, 4.0), kappa=-1.0, lam=0.5, epsilon=1)
 
 
 @pytest.mark.parametrize("alpha,beta", [(1.0, 4.0), (2.0, 6.0), (0.7, 10.0)])

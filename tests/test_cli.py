@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,8 @@ SERIES_ARGS = ("series", "--alpha", "1", "--beta", "6", "--kappa", "1")
     pytest.param(REDUCE_ARGS + ("--mass", "1e308"), id="reduce-mass-overflow"),
     pytest.param(SERIES_ARGS + ("--lambda", "1e308"), id="series-lambda-overflow"),
     pytest.param(("ground", "--A", "1", "--B", "2", "--D=-1e308"), id="ground-D-overflow"),
+    pytest.param(("ground", "--A", "1", "--B", "2", "--D", "-1e308"),
+                 id="ground-D-overflow-separate-value"),
     pytest.param(("ground", "--A", "1", "--B", "1e308", "--D", "-4"), id="ground-B-overflow"),
     # the residual overflows: only the final non-finite output check sees it
     pytest.param(("series", "--alpha", "1e308", "--beta", "6", "--kappa", "1"),
@@ -237,3 +240,45 @@ def test_usage_errors_exit_1(capsys):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 0
+
+
+def test_negative_value_in_exponent_form(capsys):
+    assert run_json(capsys, "ground", "--A", "1", "--B", "2", "--D", "-4e0") == \
+        run_json(capsys, "ground", "--A", "1", "--B", "2", "--D", "-4")
+
+
+@pytest.mark.parametrize("line", ["alpha = abc", "n_points = 1.5", "strategy = bogus",
+                                  "alpha", "epsilon = 3"])
+def test_malformed_config_value_rejected(capsys, tmp_path, line):
+    config = tmp_path / "params.cfg"
+    config.write_text(f"alpha = 1\nbeta = 6\nkappa = 1\n{line}\n")
+    code, out, err = run(capsys, "series", "--config", str(config))
+    assert code == 1
+    assert out == ""
+    key = line.partition("=")[0].strip()
+    assert err.startswith(f"error: config key '{key}'")
+    assert err.count("\n") == 1
+
+
+def test_config_key_is_the_option_name(capsys, tmp_path):
+    config = tmp_path / "params.cfg"
+    config.write_text("alpha = 1\nbeta = 6\nkappa = 1\nlambda = 1.5\ns-max = 30\n")
+    from_file = run_json(capsys, "series", "--config", str(config))
+    from_flags = run_json(capsys, "series", "--alpha", "1", "--beta", "6", "--kappa", "1",
+                          "--lambda", "1.5", "--s-max", "30")
+    assert from_file == from_flags
+    assert from_file != run_json(capsys, "series", "--alpha", "1", "--beta", "6",
+                                 "--kappa", "1", "--s-max", "30")
+
+
+@pytest.mark.parametrize("argv", [
+    ("series", "--alpha", "1e308", "--beta", "6", "--kappa", "1"),
+    ("verify", "--target", "ground", "--A", "1e308", "--B", "0", "--D", "-1"),
+])
+def test_overflow_prints_only_the_error_line(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

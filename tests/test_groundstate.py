@@ -6,10 +6,9 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from invpower import (DegenerateC, DomainError, MultiTermPotential,
-                      NotNormalizable, constraint_mismatch,
-                      evaluate_ground_state, ground_state_residual,
-                      solve_ground_state)
+from invpower import (DegenerateC, DomainError, NotNormalizable,
+                      constraint_mismatch, evaluate_ground_state,
+                      ground_state_residual, solve_ground_state)
 
 
 def symbolic_ground_state(A, B, D):
@@ -76,14 +75,10 @@ class TestSolve:
     def test_nonpositive_a_rejected(self):
         with pytest.raises(DomainError):
             solve_ground_state(A=0.0, B=1.0, D=-1.0)
-        with pytest.raises(DomainError):
-            MultiTermPotential(A=-1.0, B=0.0, C=0.0, D=-1.0)
 
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             solve_ground_state(A=1.0, B=2.0, D=-math.inf)
-        with pytest.raises(DomainError):
-            MultiTermPotential(A=1.0, B=0.0, C=math.nan, D=-1.0)
 
 
 class TestEvaluate:
