@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import re
@@ -35,26 +36,33 @@ _USER_ERRORS = (DomainError, ConfigurationError, DegenerateC, NotNormalizable,
                 IntegrationDiverged, OSError)
 
 
-def _emit(payload: dict) -> None:
-    """Print one strict JSON object; a non-finite field is a DomainError."""
+def _emit(payload: dict, tables=()) -> None:
+    """Print one strict JSON object after writing each (path, header, rows)
+    CSV table.  A non-finite field is a DomainError, raised before anything
+    is written."""
     for key, value in payload.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise DomainError(f"{key} is not finite, got {value!r}")
+    for path, header, rows in tables:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([f"{v:.17g}" for v in row])
     print(json.dumps(payload, allow_nan=False))
 
 
-def _write_csv(path: str, header: Sequence[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" for v in row])
+def _config_key(option: str) -> str:
+    """A flag's key in a config file: its option name, '_' for '-'."""
+    return option.lstrip("-").replace("-", "_")
 
 
 def _load_config(path: Optional[str]) -> dict:
-    """Flat key = value text; keys use the option names without dashes."""
+    """Flat key = value text; keys are option names without the leading
+    dashes.  A key that is no flag's option name is a ConfigurationError."""
     if path is None:
         return {}
+    known = {_config_key(flag.option) for flag in _FLAGS.values()}
     values = {}
     with open(path) as fh:
         for line in fh:
@@ -62,7 +70,10 @@ def _load_config(path: Optional[str]) -> dict:
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = _config_key(key.strip())
+            if key not in known:
+                raise ConfigurationError(f"config key '{key}': not an option name")
+            values[key] = value.strip()
     return values
 
 
@@ -78,7 +89,7 @@ def _merged(args: argparse.Namespace, key: str, default=None):
     if value is not None:
         return value
     flag = _FLAGS[key]
-    name = flag.option.lstrip("-").replace("-", "_")
+    name = _config_key(flag.option)
     if name not in args._config:
         return default
     raw = args._config[name]
@@ -155,18 +166,20 @@ def _cmd_asym(args) -> int:
 def _cmd_series(args) -> int:
     sol = build_series(_series_config(args))
     origin = origin_params(sol.config.pot)
+    # the series is asymptotic: its default grid is its validity range
+    r = _grid_from(args, r_min=0.05, r_max=0.2, n=200).nodes()
+    res = ode_residual(sol, origin, r)
+    tables = []
     if args.coeff_out:
         rows = [(float(s), sol.coefficients[s].real, sol.coefficients[s].imag)
                 for s in sorted(sol.coefficients)]
-        _write_csv(args.coeff_out, ["s", "re_a", "im_a"], rows)
-    # the series is asymptotic: its default grid is its validity range
-    grid = _grid_from(args, r_min=0.05, r_max=0.2, n=200)
-    r = grid.nodes()
-    y = evaluate_solution(sol, origin, r)
-    res = ode_residual(sol, origin, r)
+        tables.append((args.coeff_out, ["s", "re_a", "im_a"], rows))
     if args.wave_out:
-        _write_csv(args.wave_out, ["r", "re_y", "im_y", "residual"],
-                   zip(r, y.real, y.imag, res))
+        y = evaluate_solution(sol, origin, r)
+        tables.append((args.wave_out, ["r", "re_y", "im_y", "residual"],
+                       zip(r, y.real, y.imag, res)))
+    # np.max propagates NaN, so a non-finite residual anywhere stops _emit
+    # before either table is written
     _emit({
         "omega": sol.omega,
         "gamma": origin.gamma,
@@ -174,7 +187,7 @@ def _cmd_series(args) -> int:
         "n_coefficients": len(sol.coefficients),
         "normalization_index": sol.normalization_index,
         "max_residual": float(np.max(res)),
-    })
+    }, tables)
     return 0
 
 
@@ -197,10 +210,11 @@ def _cmd_ground(args) -> int:
         require_finite(C=user_c)
         payload["C"] = user_c
         payload["C_mismatch"] = user_c - sol.required_C
-    _emit(payload)
+    tables = []
     if args.wave_out:
         r = _grid_from(args, r_min=0.05, r_max=10.0, n=400).nodes()
-        _write_csv(args.wave_out, ["r", "y"], zip(r, evaluate_ground_state(sol, r)))
+        tables.append((args.wave_out, ["r", "y"], zip(r, evaluate_ground_state(sol, r))))
+    _emit(payload, tables)
     return 0
 
 
@@ -362,9 +376,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call rather than at import; parsing
+    leaves it as it was, so every later call reuses it."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args._config = _load_config(args.config)
         # overflow is reported by the validators and _emit, not as warnings

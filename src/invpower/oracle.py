@@ -106,23 +106,32 @@ def _numerov(x: np.ndarray, g: np.ndarray, u0: float, u1: float,
     """Numerov sweep of u'' = g u over the equally spaced nodes x (increasing
     or decreasing); rescales on overflow unless asked to raise, since only
     ratios matter to callers that allow it.  Divergence is reported by the
-    sweep index and its x."""
+    sweep index and its x.
+
+    The loop is the hot path.  It runs on Python floats, keeps the last two
+    values in locals and tests |u| against _OVERFLOW_LIMIT with one chained
+    comparison, which NaN also fails; the finiteness test runs only then.
+    """
     h = x[1] - x[0]
     h2 = h * h / 12.0
-    # the step's coefficients as Python floats: the loop is the hot path, and
-    # indexing a list costs a fraction of indexing an array
     a = (2.0 + 10.0 * h2 * g).tolist()
     b = (1.0 - h2 * g).tolist()
     u = [float(u0), float(u1)]
-    for i in range(1, len(a) - 1):
-        nxt = (a[i] * u[i] - b[i - 1] * u[i - 1]) / b[i + 1]
+    prev, cur = u
+    for a_i, b_prev, b_next in zip(a[1:-1], b[:-2], b[2:]):
+        nxt = (a_i * cur - b_prev * prev) / b_next
+        if -_OVERFLOW_LIMIT <= nxt <= _OVERFLOW_LIMIT:
+            u.append(nxt)
+            prev, cur = cur, nxt
+            continue
+        i = len(u) - 1
         if not math.isfinite(nxt):
             raise IntegrationDiverged("integration overflowed", i, float(x[i]))
+        if raise_on_overflow:
+            raise IntegrationDiverged("integration overflowed", i + 1, float(x[i + 1]))
         u.append(nxt)
-        if abs(nxt) > _OVERFLOW_LIMIT:
-            if raise_on_overflow:
-                raise IntegrationDiverged("integration overflowed", i + 1, float(x[i + 1]))
-            u = [v / _OVERFLOW_LIMIT for v in u]
+        u = [v / _OVERFLOW_LIMIT for v in u]
+        prev, cur = u[-2], u[-1]
     return np.array(u)
 
 

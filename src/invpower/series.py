@@ -157,6 +157,9 @@ def _build_windowed(config: SeriesConfig) -> SeriesSolution:
                 row[i - s_min] += c
         rows.append(row)
     matrix = np.array(rows)
+    if not np.all(np.isfinite(matrix)):
+        raise NoConvergence("recurrence coefficients overflowed; the SVD needs "
+                            "finite rows (alpha * kappa is too large)")
     _, sing, vh = np.linalg.svd(matrix)
     rel_residual = sing[-1] / sing[0]
     if rel_residual > _WINDOWED_NULL_TOL:
@@ -185,32 +188,39 @@ def _check_origin(sol: SeriesSolution, origin: OriginAsymptotics) -> None:
         raise DomainError("origin asymptotics do not match the series potential")
 
 
-def _sigma_sums(sol: SeriesSolution, r):
-    """S = r^omega sigma and its first two derivatives, by Horner accumulation."""
+def _sigma_sums(sol: SeriesSolution, r, derivatives: int):
+    """S = r^omega sigma and its first ``derivatives`` derivatives in r.
+
+    Each is one Horner chain over the ascending powers, accumulated from the
+    most negative power upward for stability; the k-th chain weights a_s by
+    the falling factorial w (w - 1) ... (w - k + 1) of its power w.
+    """
     items = sorted(sol.coefficients.items())
     powers = np.array([s for s, _ in items], dtype=float) + sol.omega
-    coeffs = np.array([c for _, c in items], dtype=complex)
+    weights = np.array([c for _, c in items], dtype=complex)
     r = np.asarray(r, dtype=float)
-    # Horner over ascending powers: sigma-like sums evaluated from the most
-    # negative power upward for stability
-    s0 = np.zeros(r.shape, dtype=complex)
-    s1 = np.zeros(r.shape, dtype=complex)
-    s2 = np.zeros(r.shape, dtype=complex)
-    for c, w in zip(coeffs[::-1], powers[::-1]):
-        s0 = s0 * r + c
-        s1 = s1 * r + c * w
-        s2 = s2 * r + c * w * (w - 1.0)
     base = r ** powers[0]
-    return base * s0, base * s1 / r, base * s2 / r**2
+    sums = []
+    for k in range(derivatives + 1):
+        acc = np.zeros(r.shape, dtype=complex)
+        for c in weights[::-1]:
+            acc = acc * r + c
+        sums.append(base * acc / r**k if k else base * acc)
+        weights = weights * (powers - k)
+    return sums
 
 
 def evaluate_solution(sol: SeriesSolution, origin: OriginAsymptotics, r):
-    """Full solution y(r) = exp(-gamma r^-delta) exp(i eps r sqrt(kappa)) r^omega sigma(r)."""
+    """Full solution y(r) = exp(-gamma r^-delta) exp(i eps r sqrt(kappa)) r^omega sigma(r).
+
+    Only the Horner chain of sigma itself runs; ode_residual adds the two
+    derivative chains.
+    """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise DomainError("r must be positive")
     _check_origin(sol, origin)
-    s0, _, _ = _sigma_sums(sol, r)
+    (s0,) = _sigma_sums(sol, r, 0)
     eps = sol.config.epsilon
     sqk = math.sqrt(sol.config.kappa)
     y = np.exp(-origin.gamma * r ** (-origin.delta)) * np.exp(1j * eps * sqk * r) * s0
@@ -233,7 +243,7 @@ def ode_residual(sol: SeriesSolution, origin: OriginAsymptotics, r):
     sqk = math.sqrt(cfg.kappa)
     gamma, delta = origin.gamma, origin.delta
 
-    s0, s1, s2 = _sigma_sums(sol, r)
+    s0, s1, s2 = _sigma_sums(sol, r, 2)
     g1 = gamma * delta * r ** (-delta - 1.0) + 1j * eps * sqk
     g2 = -gamma * delta * (delta + 1.0) * r ** (-delta - 2.0)
     envelope = np.exp(-gamma * r ** (-delta)) * np.exp(1j * eps * sqk * r)

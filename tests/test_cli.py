@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from invpower import (PotentialMonomial, SeriesConfig, SeriesSolution,
-                      origin_params, ode_residual)
+                      build_series, evaluate_solution, origin_params, ode_residual)
 from invpower.cli import main
 
 
@@ -216,6 +216,9 @@ SERIES_ARGS = ("series", "--alpha", "1", "--beta", "6", "--kappa", "1")
     # the residual overflows: only the final non-finite output check sees it
     pytest.param(("series", "--alpha", "1e308", "--beta", "6", "--kappa", "1"),
                  id="series-alpha-overflow"),
+    # alpha * kappa overflows in the rows of the windowed system
+    pytest.param(("series", "--alpha", "1e308", "--beta", "4", "--kappa", "2",
+                  "--strategy", "windowed"), id="series-windowed-overflow"),
 ])
 def test_non_finite_input_and_overflow_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -248,7 +251,7 @@ def test_negative_value_in_exponent_form(capsys):
 
 
 @pytest.mark.parametrize("line", ["alpha = abc", "n_points = 1.5", "strategy = bogus",
-                                  "alpha", "epsilon = 3"])
+                                  "alpha", "epsilon = 3", "lamda = 1.5", "lam = 1.5"])
 def test_malformed_config_value_rejected(capsys, tmp_path, line):
     config = tmp_path / "params.cfg"
     config.write_text(f"alpha = 1\nbeta = 6\nkappa = 1\n{line}\n")
@@ -282,3 +285,67 @@ def test_overflow_prints_only_the_error_line(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_config_key_of_another_subcommands_flag_ignored(capsys, tmp_path):
+    # s_min and strategy are series flags; verify --target series has neither
+    config = tmp_path / "params.cfg"
+    config.write_text("s_min = -3\nstrategy = windowed\n")
+    argv = ("verify", "--target", "series", "--alpha", "1", "--beta", "6", "--kappa", "1")
+    assert run_json(capsys, *argv, "--config", str(config)) == run_json(capsys, *argv)
+
+
+def test_non_finite_result_writes_no_csv(capsys, tmp_path):
+    paths = [tmp_path / "coeffs.csv", tmp_path / "wave.csv"]
+    code, out, err = run(capsys, "series", "--alpha", "1e308", "--beta", "6",
+                         "--kappa", "1", "--coeff-out", str(paths[0]),
+                         "--wave-out", str(paths[1]))
+    assert code == 1
+    assert out == "" and err.startswith("error: max_residual is not finite")
+    assert not any(path.exists() for path in paths)
+
+
+def test_wave_table_holds_the_solution_and_its_residual(capsys, tmp_path):
+    # every digit of the table: r, y = evaluate_solution and ode_residual,
+    # each with 17 significant digits
+    path = tmp_path / "wave.csv"
+    run_json(capsys, "series", "--alpha", "1", "--beta", "6", "--kappa", "1",
+             "--lambda", "0.5", "--s-max", "20", "--n-points", "64",
+             "--wave-out", str(path))
+    config = SeriesConfig(pot=PotentialMonomial(1.0, 6.0), kappa=1.0, lam=0.5,
+                          epsilon=1, s_max=20)
+    sol, origin = build_series(config), origin_params(config.pot)
+    r = np.linspace(0.05, 0.2, 64)
+    y = evaluate_solution(sol, origin, r)
+    rows = zip(r, y.real, y.imag, ode_residual(sol, origin, r))
+    expected = "r,re_y,im_y,residual\r\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\r\n" for row in rows)
+    assert path.read_bytes() == expected.encode()
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may see another's
+    arguments or config."""
+
+    def test_repeated_flag_does_not_carry_over(self, capsys):
+        base = ("reduce", "--mass", "1", "--hbar", "1", "--dimension", "3",
+                "--angular-momentum", "0", "--energy", "1")
+        first = run_json(capsys, *base, "--term", "1", "4", "--term", "-2", "3")
+        assert first["term_1_power"] == 3.0
+        second = run_json(capsys, *base)
+        assert second == {"kappa": 2.0, "lambda": 0.5}
+
+    def test_config_does_not_carry_over(self, capsys, tmp_path):
+        config = tmp_path / "params.cfg"
+        config.write_text("alpha = 4\nbeta = 6\n")
+        assert run_json(capsys, "asym", "--config", str(config))["gamma"] == 1.0
+        code, out, err = run(capsys, "asym", "--alpha", "4")
+        assert code == 1 and out == ""
+        assert "beta" in err
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["ground", "--A", "1", "--D"])
+        assert info.value.code == 1
+        capsys.readouterr()
+        assert run_json(capsys, "ground", "--A", "1", "--B", "2", "--D", "-4")["E"] == -1.0

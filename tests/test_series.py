@@ -9,6 +9,7 @@ from invpower import (ConfigurationError, DomainError, PotentialMonomial,
                       SeriesConfig, SeriesSolution, Strategy, build_series,
                       evaluate_solution, ode_residual, origin_params,
                       recurrence_residual, special_p)
+from invpower import series
 
 
 def sym_recurrence_row(coeffs, s, alpha, beta, kappa, lam, eps):
@@ -164,6 +165,37 @@ class TestBuildWindowed:
                         for i, c in [(s + b + 1, 2.0 * (s + b + 1)),
                                      (s + 2, (s + 2) * (s + 1) + 4.0)])
             assert abs(res) <= 1e-10 * max(1.0, scale)
+
+
+def interleaved_sums_reference(sol, r):
+    """S, S' and S'' as three Horner chains advanced together in one loop
+    over the coefficients, from the most negative power upward."""
+    items = sorted(sol.coefficients.items())
+    powers = np.array([s for s, _ in items], dtype=float) + sol.omega
+    coeffs = np.array([c for _, c in items], dtype=complex)
+    s0 = s1 = s2 = np.zeros(r.shape, dtype=complex)
+    for c, w in zip(coeffs[::-1], powers[::-1]):
+        s0 = s0 * r + c
+        s1 = s1 * r + c * w
+        s2 = s2 * r + c * w * (w - 1.0)
+    base = r ** powers[0]
+    return base * s0, base * s1 / r, base * s2 / r**2
+
+
+@pytest.mark.parametrize("beta, s_max", [(4.0, 8), (6.0, 40), (10.0, 25)])
+def test_sigma_sums_match_interleaved_reference(beta, s_max):
+    # the same arithmetic in the same order within each chain, so equal to
+    # the last bit; evaluate_solution runs the first chain alone
+    sol = build_series(desk_config(beta=beta, lam=1.5, eps=-1, s_max=s_max))
+    origin = origin_params(sol.config.pot)
+    r = np.linspace(0.03, 0.6, 97)
+    reference = interleaved_sums_reference(sol, r)
+    for got, want in zip(series._sigma_sums(sol, r, 2), reference):
+        assert np.array_equal(got, want)
+    sqk = math.sqrt(sol.config.kappa)
+    y = (np.exp(-origin.gamma * r ** (-origin.delta))
+         * np.exp(1j * sol.config.epsilon * sqk * r) * reference[0])
+    assert np.array_equal(evaluate_solution(sol, origin, r), y)
 
 
 class TestEvaluate:
