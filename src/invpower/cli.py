@@ -38,11 +38,13 @@ _USER_ERRORS = (DomainError, ConfigurationError, DegenerateC, NotNormalizable,
 
 def _emit(payload: dict, tables=()) -> None:
     """Print one strict JSON object after writing each (path, header, rows)
-    CSV table.  A non-finite field is a DomainError, raised before anything
-    is written."""
+    CSV table.  A non-finite field, or a non-finite number in a list field,
+    is a DomainError, raised before anything is written."""
     for key, value in payload.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise DomainError(f"{key} is not finite, got {value!r}")
+        numbers = np.ravel(value) if isinstance(value, list) else (value,)
+        for number in numbers:
+            if isinstance(number, float) and not math.isfinite(number):
+                raise DomainError(f"{key} is not finite, got {number!r}")
     for path, header, rows in tables:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -257,6 +259,9 @@ def _verify_ground(args) -> int:
         "iterations": result.iterations,
         "evaluations": result.evaluations,
         "nodes": result.nodes,
+        "match_radius": result.match_radius,
+        "rescales": result.rescales,
+        "trace": [list(pair) for pair in result.trace],
         "finite_difference_residual": fd,
     })
     if failures:
@@ -284,14 +289,19 @@ def _verify_series(args) -> int:
         gap_on(2 * grid.n_points - 1)
     # the finite-difference figure should approach the analytic one at
     # second order in the grid spacing
-    passed = gap_fine <= 0.35 * gap_coarse + 1e-12 or max(gap_coarse, gap_fine) <= 1e-10
+    bound = 0.35 * gap_coarse + 1e-12
+    passed = gap_fine <= bound or max(gap_coarse, gap_fine) <= 1e-10
     _emit({
         "status": "pass" if passed else "fail",
         "analytic_residual": analytic,
         "finite_difference_residual_h": fd_coarse,
         "finite_difference_residual_h_over_2": fd_fine,
     })
-    return 0 if passed else 2
+    if not passed:
+        print(f"fail: richardson gap_fine {gap_fine:.3g} > 0.35*gap_coarse+1e-12 "
+              f"{bound:.3g}", file=sys.stderr)
+        return 2
+    return 0
 
 
 class _ArgumentParser(argparse.ArgumentParser):

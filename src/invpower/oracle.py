@@ -8,10 +8,13 @@ The reduced radial equation is integrated as y'' = f(r) y with
 
     f(r) = V(r) + (lam^2 - 1/4)/r^2 - kappa
 
-by one Numerov sweep on both grid spacings.  A uniform grid is swept in r.
+by one Numerov kernel on both grid spacings.  A uniform grid is swept in r.
 A log grid is swept in x = ln r, where it is uniform, on u = r^(-1/2) y,
 which obeys u'' = (r^2 f + 1/4) u.  Inward sweeps run the same code over
-the reversed nodes.  Bound-state energies are roots of the matching defect
+the reversed nodes.  The kernel carries u and its first difference, cuts
+the sweep into blocks of about sqrt(n/6) steps, advances the fundamental
+solutions of all blocks at once in numpy and stitches the blocks together
+with 2x2 transfer steps.  Bound-state energies are roots of the matching defect
 between outward and inward sweeps, on either spacing, found by the Illinois
 variant of regula falsi (Dowell & Jarratt, BIT 11, 1971).
 """
@@ -19,9 +22,11 @@ variant of regula falsi (Dowell & Jarratt, BIT 11, 1971).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Tuple
+from itertools import islice
+from typing import List, Tuple
 
 import numpy as np
 
@@ -70,9 +75,12 @@ class RadialGrid:
 @dataclass(frozen=True)
 class ShootingResult:
     """``iterations`` counts root-finder steps and ``evaluations`` defect
-    calls (the steps plus the two bracket ends).  ``nodes`` counts the sign
+    calls (the steps plus the two bracket ends); ``trace`` holds the
+    (energy, defect) pair of each call in order.  ``nodes`` counts the sign
     changes of the outward sweep below the match node plus those of the
-    inward sweep above it, at the returned energy: 0 for a ground state."""
+    inward sweep above it, and ``rescales`` the overflow rescales of both
+    sweeps, at the returned energy: 0 nodes for a ground state.  The sweeps
+    meet at ``match_radius``."""
 
     energy: float
     match_defect: float
@@ -80,6 +88,9 @@ class ShootingResult:
     converged: bool
     evaluations: int
     nodes: int
+    match_radius: float
+    rescales: int
+    trace: Tuple[Tuple[float, float], ...]
 
 
 def _f_values(terms: PotentialTerms, kappa: float, lam: float,
@@ -88,51 +99,130 @@ def _f_values(terms: PotentialTerms, kappa: float, lam: float,
     return evaluate_terms(terms, r) + (lam * lam - 0.25) / r**2 - kappa
 
 
-def _sweep_variables(spacing: Spacing, r: np.ndarray,
-                     f: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, g, scale) such that y'' = f y on the nodes r becomes u'' = g u on
-    equally spaced x, with y = scale * u.
+def _sweep_variables(spacing: Spacing, r: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(x, w, scale, c) such that y'' = f y on the nodes r becomes
+    u'' = (w f + c) u on equally spaced x, with y = scale * u.  None of them
+    depends on f, so a shoot computes them once.
 
     A uniform grid is swept in r itself.  On a log grid, x = ln r and
     y = r^(1/2) u turn y'' = f y into u'' = (r^2 f + 1/4) u.
     """
     if spacing is Spacing.UNIFORM:
-        return r, f, np.ones_like(r)
-    return np.log(r), r * r * f + 0.25, np.sqrt(r)
+        return r, np.ones_like(r), np.ones_like(r), 0.0
+    return np.log(r), r * r, np.sqrt(r), 0.25
 
 
-def _numerov(x: np.ndarray, g: np.ndarray, u0: float, u1: float,
-             raise_on_overflow: bool) -> np.ndarray:
-    """Numerov sweep of u'' = g u over the equally spaced nodes x (increasing
-    or decreasing); rescales on overflow unless asked to raise, since only
-    ratios matter to callers that allow it.  Divergence is reported by the
-    sweep index and its x.
+def _block_length(steps: int) -> int:
+    """Steps per block, L = floor(sqrt(steps / 6)) but at least 2.  This L
+    balances the vector loop's L steps against the stitch loop's steps / L
+    blocks, taking one vector step to cost about six stitch steps."""
+    return max(2, math.isqrt(steps // 6))
 
-    The loop is the hot path.  It runs on Python floats, keeps the last two
-    values in locals and tests |u| against _OVERFLOW_LIMIT with one chained
-    comparison, which NaN also fails; the finiteness test runs only then.
+
+def _numerov(sweeps, raise_on_overflow: bool) -> Tuple[List[np.ndarray], int]:
+    """Numerov sweeps of u'' = g u, each over equally spaced nodes x
+    (increasing or decreasing) from the seeds u0, u1 at its first two nodes.
+    ``sweeps`` holds (x, g, u0, u1) tuples; returns the solution of each
+    sweep and the number of rescales.
+
+    The state (u_i, d_i = u_i - u_{i-1}) advances in difference form,
+
+        d_{i+1} = (b_{i-1} / b_{i+1}) d_i
+                  + h^2/12 (g_{i-1} + 10 g_i + g_{i+1}) / b_{i+1} u_i,
+        u_{i+1} = u_i + d_{i+1},   with b_i = 1 - h^2/12 g_i,
+
+    which keeps the O(h^2) part of each step that the three-term form loses
+    when it rounds its factor 2 + 10 h^2/12 g_i.  The steps of all sweeps
+    are cut into blocks of _block_length steps, the last block of each
+    sweep padded.  One numpy loop over the steps of a block advances the
+    two fundamental solutions of every block at once.  A Python loop over
+    the blocks then chains each sweep's block-start states through the
+    blocks' 2x2 transfer matrices, and one vectorized combination rebuilds
+    every u.
+
+    Unless asked to raise, a block-start state with |u| > _OVERFLOW_LIMIT is
+    divided by it, and so are the earlier values of its sweep, since only
+    ratios and signs matter to such callers.  With ``raise_on_overflow`` the
+    first node past the limit raises IntegrationDiverged.  A non-finite
+    value raises it either way, at the last finite node; it appears when
+    one block grows by more than about 1e58, the float range over the
+    limit.  Nodes are reported by sweep index and x.
     """
-    h = x[1] - x[0]
-    h2 = h * h / 12.0
-    a = (2.0 + 10.0 * h2 * g).tolist()
-    b = (1.0 - h2 * g).tolist()
-    u = [float(u0), float(u1)]
-    prev, cur = u
-    for a_i, b_prev, b_next in zip(a[1:-1], b[:-2], b[2:]):
-        nxt = (a_i * cur - b_prev * prev) / b_next
-        if -_OVERFLOW_LIMIT <= nxt <= _OVERFLOW_LIMIT:
-            u.append(nxt)
-            prev, cur = cur, nxt
-            continue
-        i = len(u) - 1
-        if not math.isfinite(nxt):
+    lengths = [len(x) for x, _, _, _ in sweeps]
+    steps = _block_length(sum(lengths) - 2 * len(sweeps))
+    # a sweep of n nodes takes n - 2 steps, in (n - 2) // steps + 1 blocks
+    # that hold its nodes 1 .. n - 1; padding steps (both coefficients 0)
+    # hold u constant
+    counts = [(n - 2) // steps + 1 for n in lengths]
+    blocks = sum(counts)
+
+    # h^2/12 g of all sweeps end to end; the steps that straddle two sweeps
+    # are dropped
+    hg = np.concatenate([(x[1] - x[0]) ** 2 / 12.0 * g for x, g, _, _ in sweeps])
+    b = 1.0 - hg
+    p = b[:-2] / b[2:]
+    q = (hg[:-2] + 10.0 * hg[1:-1] + hg[2:]) / b[2:]
+    padded = np.zeros((2, blocks * steps))
+    node = slot = 0
+    for n, count in zip(lengths, counts):
+        padded[0, slot: slot + n - 2] = p[node: node + n - 2]
+        padded[1, slot: slot + n - 2] = q[node: node + n - 2]
+        node += n
+        slot += count * steps
+    # pq[:, j] holds step j of every block, once for each fundamental solution
+    pq = np.empty((2, steps, 2 * blocks))
+    pq[:, :, :blocks] = padded.reshape(2, blocks, steps).transpose(0, 2, 1)
+    pq[:, :, blocks:] = pq[:, :, :blocks]
+
+    # u[j] holds, after j steps, the fundamental solutions that start each
+    # block from (u, d) = (1, 0) in its first half and from (0, 1) in its second
+    u = np.empty((steps + 1, 2 * blocks))
+    u[0, :blocks], u[0, blocks:] = 1.0, 0.0
+    d = np.zeros(2 * blocks)
+    d[blocks:] = 1.0
+    qu = np.empty_like(d)
+    for p_j, q_j, u_j, u_next in zip(pq[0], pq[1], u, u[1:]):
+        np.multiply(d, p_j, d)
+        np.multiply(u_j, q_j, qu)
+        np.add(d, qu, d)
+        np.add(u_j, d, u_next)
+
+    transfer = zip(*(t.tolist() for t in (u[steps, :blocks], u[steps, blocks:],
+                                         d[:blocks], d[blocks:])))
+    rescale_above = math.inf if raise_on_overflow else _OVERFLOW_LIMIT
+    start_u, start_d, rescaled, rescales = [], [], [], []
+    for (_, _, u0, u1), count in zip(sweeps, counts):
+        first = len(start_u)
+        su, sd, r = float(u1), float(u1) - float(u0), 0
+        for t00, t01, t10, t11 in islice(transfer, count):
+            if abs(su) > rescale_above:
+                su, sd, r = su / _OVERFLOW_LIMIT, sd / _OVERFLOW_LIMIT, r + 1
+                rescaled.append((first, len(start_u)))
+            start_u.append(su)
+            start_d.append(sd)
+            su, sd = t00 * su + t01 * sd, t10 * su + t11 * sd
+        rescales.append(r)
+    values = u[:steps, :blocks] * start_u
+    values += u[:steps, blocks:] * start_d
+    for first, block in rescaled:
+        values[:, first:block] /= _OVERFLOW_LIMIT
+    values = values.T.ravel()
+
+    limit = _OVERFLOW_LIMIT if raise_on_overflow else sys.float_info.max
+    solutions = []
+    slot = 0
+    for (x, _, u0, _), count, r in zip(sweeps, counts, rescales):
+        sol = np.concatenate(((u0 * _OVERFLOW_LIMIT ** -r,), values[slot: slot + len(x) - 1]))
+        slot += count * steps
+        # the seeds are not checked
+        if not np.max(np.abs(sol[2:])) <= limit:
+            i = 2 + int(np.argmin(np.abs(sol[2:]) <= limit))
+            if not math.isfinite(sol[i]):
+                i -= 1
             raise IntegrationDiverged("integration overflowed", i, float(x[i]))
-        if raise_on_overflow:
-            raise IntegrationDiverged("integration overflowed", i + 1, float(x[i + 1]))
-        u.append(nxt)
-        u = [v / _OVERFLOW_LIMIT for v in u]
-        prev, cur = u[-2], u[-1]
-    return np.array(u)
+        solutions.append(sol)
+    return solutions, sum(rescales)
 
 
 def integrate_radial(terms: PotentialTerms, kappa: float, lam: float,
@@ -149,13 +239,14 @@ def integrate_radial(terms: PotentialTerms, kappa: float, lam: float,
     if not (math.isfinite(y0) and math.isfinite(y1)) or (y0 == 0.0 and y1 == 0.0):
         raise DomainError("seeds must be finite and not both zero")
     r = grid.nodes()
-    x, g, scale = _sweep_variables(grid.spacing, r, _f_values(terms, kappa, lam, r))
+    x, w, scale, c = _sweep_variables(grid.spacing, r)
+    g = w * _f_values(terms, kappa, lam, r) + c
     sweep = np.arange(len(r))
     if direction is Direction.INWARD:
         sweep = sweep[::-1]
     try:
-        u = _numerov(x[sweep], g[sweep], y0 / scale[sweep[0]], y1 / scale[sweep[1]],
-                     raise_on_overflow=True)
+        (u,), _ = _numerov([(x[sweep], g[sweep], y0 / scale[sweep[0]],
+                             y1 / scale[sweep[1]])], raise_on_overflow=True)
     except IntegrationDiverged as exc:
         i = int(sweep[exc.last_index])
         raise IntegrationDiverged(str(exc), i, float(r[i])) from None
@@ -188,22 +279,23 @@ def _sign_changes(u: np.ndarray) -> int:
 
 def _matching_defect(x: np.ndarray, g: np.ndarray, scale: np.ndarray,
                      r: np.ndarray, imatch: int, inner_decay: float,
-                     energy: float) -> Tuple[float, int]:
+                     energy: float) -> Tuple[float, int, int]:
     """Normalized Wronskian, in x, of the outward and inward sweeps of
-    u'' = g u at the match node, and the sweeps' sign changes on either side
-    of it.  The Wronskian in x has the same zeros as the one in r.
+    u'' = g u at the match node, the sweeps' sign changes on either side
+    of it, and their rescales.  The Wronskian in x has the same zeros as the
+    one in r.  Both sweeps go through one kernel call.
 
     Seeds are the generic decay forms exp(-inner_decay / r) at the origin
     and exp(-sqrt(-E) r) at infinity, never the closed-form wavefunction.
     """
     h = x[1] - x[0]
-    out = _numerov(x[: imatch + 3], g[: imatch + 3],
-                   math.exp(inner_decay * (1.0 / r[1] - 1.0 / r[0])) / scale[0],
-                   1.0 / scale[1], raise_on_overflow=False)
     decay = math.sqrt(-energy)
-    rev = _numerov(x[imatch - 2:][::-1], g[imatch - 2:][::-1],
-                   math.exp(-decay * (r[-1] - r[-2])) / scale[-1], 1.0 / scale[-2],
-                   raise_on_overflow=False)
+    (out, rev), rescales = _numerov([
+        (x[: imatch + 3], g[: imatch + 3],
+         math.exp(inner_decay * (1.0 / r[1] - 1.0 / r[0])) / scale[0], 1.0 / scale[1]),
+        (x[imatch - 2:][::-1], g[imatch - 2:][::-1],
+         math.exp(-decay * (r[-1] - r[-2])) / scale[-1], 1.0 / scale[-2]),
+    ], raise_on_overflow=False)
     inn = rev[::-1]  # inn[k] is the inward solution at x[imatch - 2 + k]
     j = 2
     d_out = (-out[imatch + 2] + 8.0 * out[imatch + 1]
@@ -213,7 +305,7 @@ def _matching_defect(x: np.ndarray, g: np.ndarray, scale: np.ndarray,
     n_out, n_in = math.hypot(d_out, out[imatch]), math.hypot(d_in, inn[j])
     defect = (d_out / n_out) * (inn[j] / n_in) - (d_in / n_in) * (out[imatch] / n_out)
     nodes = _sign_changes(out[: imatch + 1]) + _sign_changes(inn[j:])
-    return float(defect), nodes
+    return float(defect), nodes, rescales
 
 
 def shoot_ground_energy(terms: PotentialTerms, bracket: Tuple[float, float],
@@ -231,6 +323,7 @@ def shoot_ground_energy(terms: PotentialTerms, bracket: Tuple[float, float],
     if not (e_lo < e_hi < 0.0):
         raise DomainError("bracket must satisfy E_lo < E_hi < 0")
     r = grid.nodes()
+    x, w, scale, c = _sweep_variables(grid.spacing, r)
     f0 = _f_values(terms, 0.0, 0.0, r)
     imatch = int(np.clip(np.argmin(f0), 5, len(r) - 6))
     a4 = term_with_power(terms, 4.0)
@@ -238,11 +331,15 @@ def shoot_ground_energy(terms: PotentialTerms, bracket: Tuple[float, float],
         raise DomainError("shooting seeds need a repulsive r^-4 term")
     inner_decay = math.sqrt(a4)
 
-    def defect(energy: float) -> Tuple[float, int]:
-        x, g, scale = _sweep_variables(grid.spacing, r, f0 - energy)
-        return _matching_defect(x, g, scale, r, imatch, inner_decay, energy)
+    trace = []
 
-    (g_lo, _), (g_hi, _) = defect(e_lo), defect(e_hi)
+    def defect(energy: float) -> Tuple[float, int, int]:
+        result = _matching_defect(x, w * (f0 - energy) + c, scale, r, imatch,
+                                  inner_decay, energy)
+        trace.append((energy, result[0]))
+        return result
+
+    (g_lo, _, _), (g_hi, _, _) = defect(e_lo), defect(e_hi)
     if not (math.isfinite(g_lo) and math.isfinite(g_hi)) or g_lo * g_hi > 0.0:
         raise BracketError("matching defect has no sign change in the bracket")
     # Illinois: a regula falsi step, halving the defect at an end that stays
@@ -251,7 +348,7 @@ def shoot_ground_energy(terms: PotentialTerms, bracket: Tuple[float, float],
     for iteration in range(1, _MAX_ITERATIONS + 1):
         # clamped, since rounding can put the step an ulp outside the bracket
         energy = min(max(e_hi - g_hi * (e_hi - e_lo) / (g_hi - g_lo), e_lo), e_hi)
-        g, nodes = defect(energy)
+        g, nodes, rescales = defect(energy)
         if abs(g) <= tolerance or (e_hi - e_lo) < 1e-14 * abs(energy):
             break
         if (g > 0.0) == (g_hi > 0.0):
@@ -268,4 +365,6 @@ def shoot_ground_energy(terms: PotentialTerms, bracket: Tuple[float, float],
         raise NoConvergence("root finder exhausted its iteration budget")
     return ShootingResult(energy=energy, match_defect=g, iterations=iteration,
                           converged=abs(g) <= tolerance,
-                          evaluations=iteration + 2, nodes=nodes)
+                          evaluations=iteration + 2, nodes=nodes,
+                          match_radius=float(r[imatch]), rescales=rescales,
+                          trace=tuple(trace))

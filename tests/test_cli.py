@@ -180,6 +180,27 @@ def test_verify_series_pass(capsys):
     assert payload["status"] == "pass"
 
 
+def test_verify_ground_reports_shooting_diagnostics(capsys):
+    payload = run_json(capsys, "verify", "--target", "ground",
+                       "--A", "1", "--B", "2", "--D", "-4")
+    assert len(payload["trace"]) == payload["evaluations"]
+    assert payload["trace"][-1] == [payload["shooting_energy"], payload["match_defect"]]
+    assert 0.08 < payload["match_radius"] < 14.0
+    assert payload["rescales"] == 0
+
+
+def test_verify_series_names_the_failed_check(capsys):
+    # a good series on a coarse grid: the Richardson test between 16 and
+    # 31 points fails
+    code, out, err = run(capsys, "verify", "--target", "series", "--alpha", "0.03125",
+                         "--beta", "10", "--kappa", "0.5", "--r-min", "0.125",
+                         "--n-points", "16")
+    assert code == 2
+    assert json.loads(out)["status"] == "fail"
+    assert err.count("\n") == 1
+    assert err.startswith("fail: richardson gap_fine ")
+
+
 def test_header_stability(capsys, tmp_path):
     # golden contract: two runs produce byte-identical artifacts
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

@@ -135,15 +135,87 @@ def _numerov_reference(x, g, u0, u1):
     return u
 
 
+def _assert_close(u, ref, rtol):
+    assert np.all(np.sign(u) == np.sign(ref))
+    assert np.all(np.abs(u - ref) <= rtol * np.abs(ref))
+
+
+def _sweep(x, g, u0=1.0, u1=1.1):
+    (u,), _ = oracle._numerov([(x, g, u0, u1)], raise_on_overflow=False)
+    return u
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_numerov_matches_array_reference(seed):
-    # same arithmetic in the same order, so equal to the last bit, through
-    # the overflow rescaling too
+    # the blocked difference-form kernel rounds differently from the
+    # three-term reference, so the two agree to rounding, at every node and
+    # through the overflow rescaling too
     rng = np.random.default_rng(seed)
     x = np.linspace(0.0, 20.0, 3_000)[:: 1 if seed % 2 else -1]
     g = rng.uniform(-50.0, 5_000.0, x.size)  # grows by about e^1000
-    u = oracle._numerov(x, g, 1.0, 1.1, raise_on_overflow=False)
-    assert np.array_equal(u, _numerov_reference(x, g, 1.0, 1.1))
+    _assert_close(_sweep(x, g), _numerov_reference(x, g, 1.0, 1.1), 1e-12)
+
+
+@pytest.mark.parametrize("direction", [1, -1], ids=["increasing", "decreasing"])
+@pytest.mark.parametrize("low, high", [(-100.0, -10.0), (-200.0, 200.0)],
+                         ids=["oscillatory", "mixed-sign"])
+def test_numerov_sign_changing_g(low, high, direction):
+    # rounding moves the phase of an oscillating solution a little, so the
+    # error is measured against the amplitude, not node by node
+    rng = np.random.default_rng(7)
+    x = np.linspace(0.0, 20.0, 3_000)[::direction]
+    g = rng.uniform(low, high, x.size)
+    u, ref = _sweep(x, g), _numerov_reference(x, g, 1.0, 1.1)
+    assert np.max(np.abs(u - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [16, 17, 21, 100, 101, 1_001])
+def test_numerov_block_lengths_and_padding(n):
+    # n = 16 is the shortest grid, in blocks of 2 steps; the other lengths
+    # leave the last block part padding
+    steps = oracle._block_length(n - 2)
+    if n == 16:
+        assert steps == 2
+    else:
+        assert (n - 2) % steps != 0
+    rng = np.random.default_rng(n)
+    x = np.linspace(0.0, 2.0, n)
+    g = rng.uniform(-5.0, 50.0, n)
+    _assert_close(_sweep(x, g), _numerov_reference(x, g, 1.0, 1.1), 1e-12)
+
+
+def test_numerov_stacked_sweeps_match_single_sweeps():
+    # one call cuts both sweeps into blocks of a common length, each with
+    # its own stitch chain
+    rng = np.random.default_rng(11)
+    x = np.linspace(0.0, 20.0, 2_000)
+    g = rng.uniform(0.0, 50.0, x.size)
+    sweeps = [(x[:900], g[:900], 1.0, 1.1), (x[895:][::-1], g[895:][::-1], 2.0, 2.5)]
+    stacked, _ = oracle._numerov(sweeps, raise_on_overflow=False)
+    for u, (xs, gs, u0, u1) in zip(stacked, sweeps):
+        _assert_close(u, _sweep(xs, gs, u0, u1), 1e-13)
+
+
+def test_numerov_counts_rescales():
+    x = np.linspace(0.0, 20.0, 3_000)
+    g = np.full(x.size, 2_500.0)  # u grows like e^(50 x), past e^1000
+    (u,), rescales = oracle._numerov([(x, g, 1.0, 1.1)], raise_on_overflow=False)
+    assert rescales == 1
+    _assert_close(u, _numerov_reference(x, g, 1.0, 1.1), 1e-12)
+
+
+def test_ground_state_reference_fine_grid():
+    # the difference form keeps the 60 000-node sweep of
+    # test_ground_state_reference far inside its 1e-6 bound
+    sol = solve_ground_state(1.0, 2.0, -4.0)
+    terms = ((1.0, 4.0), (2.0, 3.0), (0.25, 2.0), (-4.0, 1.0))
+    grid = RadialGrid(0.1, 10.0, 60_000)
+    r = grid.nodes()
+    ref = evaluate_ground_state(sol, r)
+    y = integrate_radial(terms, sol.energy, 0.0, grid, Direction.OUTWARD,
+                         (ref[0], ref[1]))
+    rel = np.abs(y - ref) / np.maximum(np.abs(ref), np.max(ref) * 1e-6)
+    assert np.max(rel) <= 1e-8
 
 
 class TestFiniteDifference:
@@ -237,6 +309,17 @@ class TestIllinoisShooting:
         assert result.converged
         assert result.nodes == 0
         assert result.energy == pytest.approx(-1.0, rel=1e-9)
+
+    def test_diagnostics(self):
+        grid = RadialGrid(0.08, 50.0, 2_000, Spacing.LOG)
+        result = shoot_ground_energy(FAMILY[0], (-2.0, -0.5), grid)
+        assert len(result.trace) == result.evaluations
+        assert [energy for energy, _ in result.trace[:2]] == [-2.0, -0.5]
+        assert result.trace[-1] == (result.energy, result.match_defect)
+        assert result.trace[0][1] * result.trace[1][1] < 0.0
+        r = grid.nodes()
+        assert result.match_radius in r and grid.r_min < result.match_radius < grid.r_max
+        assert result.rescales == 0
 
     def test_node_count_names_the_state(self):
         # the bracket (2E, E/2) of this ground state also holds E_1
