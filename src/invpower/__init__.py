@@ -6,9 +6,9 @@ numerical oracle verifying all of the above."""
 
 from .asymptotics import (OriginAsymptotics, PotentialMonomial, origin_params,
                           special_p)
-from .errors import (BracketError, ConfigurationError, ConsistencyViolation,
-                     DegenerateC, DomainError, IntegrationDiverged,
-                     NoConvergence, NotNormalizable)
+from .errors import (BracketError, ConfigurationError, DegenerateC,
+                     DomainError, IntegrationDiverged, NoConvergence,
+                     NotNormalizable)
 from .groundstate import (GroundStateSolution, constraint_mismatch,
                           evaluate_ground_state, ground_state_residual,
                           solve_ground_state)
@@ -24,9 +24,9 @@ from .series import (SeriesConfig, SeriesSolution, Strategy, build_series,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BracketError", "ConfigurationError", "ConsistencyViolation",
-    "DegenerateC", "Direction", "DomainError", "GroundStateSolution",
-    "IntegrationDiverged", "NoConvergence", "NotNormalizable",
+    "BracketError", "ConfigurationError", "DegenerateC", "Direction",
+    "DomainError", "GroundStateSolution", "IntegrationDiverged",
+    "NoConvergence", "NotNormalizable",
     "OriginAsymptotics", "PotentialMonomial", "QuantumSetup", "RadialGrid",
     "ReducedProblem", "SeriesConfig", "SeriesSolution", "ShootingResult",
     "Spacing", "Strategy", "build_series", "constraint_mismatch",

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, require_finite
 
 
@@ -33,9 +31,6 @@ class PotentialMonomial:
             raise DomainError("alpha must be positive (attractive case unsupported)")
         if self.beta <= 2.0:
             raise DomainError("beta must exceed 2")
-
-    def __call__(self, r):
-        return self.alpha * np.asarray(r, dtype=float) ** (-self.beta)
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import PotentialMonomial, origin_params, special_p
-from .errors import (BracketError, ConfigurationError, ConsistencyViolation,
-                     DegenerateC, DomainError, IntegrationDiverged,
-                     NoConvergence, NotNormalizable, require_finite)
+from .errors import (BracketError, ConfigurationError, DegenerateC,
+                     DomainError, IntegrationDiverged, NoConvergence,
+                     NotNormalizable, require_finite)
 from .groundstate import evaluate_ground_state, solve_ground_state
 from .oracle import (RadialGrid, Spacing, finite_difference_residual,
                      shoot_ground_energy)
@@ -32,8 +32,7 @@ from .series import (SeriesConfig, Strategy, build_series, evaluate_solution,
                      ode_residual)
 
 _USER_ERRORS = (DomainError, ConfigurationError, DegenerateC, NotNormalizable,
-                BracketError, ConsistencyViolation, NoConvergence,
-                IntegrationDiverged, OSError)
+                BracketError, NoConvergence, IntegrationDiverged, OSError)
 
 
 def _emit(payload: dict, tables=()) -> None:

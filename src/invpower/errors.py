@@ -11,10 +11,6 @@ class ConfigurationError(ValueError):
     """A configuration is structurally unusable (e.g. odd beta series request)."""
 
 
-class ConsistencyViolation(RuntimeError):
-    """A consistency constraint that should hold by construction failed."""
-
-
 class NoConvergence(RuntimeError):
     """An iterative or least-squares procedure did not reach its tolerance."""
 

@@ -13,11 +13,12 @@ for every integer s; the a_{s+2} factor is (s+2+omega)(s+1+omega) -
 (lam^2 - 1/4) written out.  Two seeding strategies are provided:
 
 * ONE_SIDED: a_s = 0 for s < 0 and a_0 = 1, solved forward for a_{s+b+1}.
-* WINDOWED: the recurrence rows over a finite index window are assembled
-  into a homogeneous banded system whose minimal-residual unit-norm null
-  vector is extracted by SVD.  Indices outside the window read as zero,
-  which closes the system at the bottom and selects the solution that
-  decays below s_min.
+* WINDOWED: the null vector of the recurrence rows over the window
+  [s_min, s_max], indices outside it reading as zero.  Row s defines
+  a_{s+b+1}, and its factor 2 sqrt(alpha) (s+b+1) vanishes only for index
+  0, whose row involves negative indices alone; so the rows force every
+  negative-index coefficient to zero and leave a_0 free.  The null vector
+  is therefore the ONE_SIDED solution, scaled to its largest coefficient.
 
 The resulting series is asymptotic: its coefficients grow factorially, so
 truncations are accurate only close to r = 0 (see ode_residual).
@@ -33,12 +34,10 @@ from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
-from .asymptotics import OriginAsymptotics, PotentialMonomial, special_p
-from .errors import (ConfigurationError, ConsistencyViolation, DomainError,
-                     NoConvergence, require_finite)
-
-_ONE_SIDED_CONSISTENCY_TOL = 1e-10
-_WINDOWED_NULL_TOL = 1e-8
+from .asymptotics import (OriginAsymptotics, PotentialMonomial, origin_params,
+                          special_p)
+from .errors import (ConfigurationError, DomainError, NoConvergence,
+                     require_finite)
 
 
 class Strategy(Enum):
@@ -117,74 +116,35 @@ def recurrence_residual(coeffs: Mapping[int, complex], s: int,
     return sum(c * complex(coeffs.get(i, 0.0)) for i, c in _recurrence_terms(s, config))
 
 
-def _build_one_sided(config: SeriesConfig) -> SeriesSolution:
+def build_series(config: SeriesConfig) -> SeriesSolution:
+    """Solve the coefficient recurrence forward from a_0 = 1 over the window;
+    WINDOWED then scales the coefficients to their largest one."""
     b = config.half_beta
     a: Dict[int, complex] = {s: 0.0 + 0.0j for s in range(config.s_min, 0)}
     a[0] = 1.0 + 0.0j
-    for s in range(-b - 1, config.s_max - b):
+    # the row defining a_0 (s = -b - 1) reads only negative indices, all
+    # zero, so it holds and the solve starts at a_1
+    for s in range(-b, config.s_max - b):
         d = s + b + 1
         terms = _recurrence_terms(s, config)
         rhs = sum(c * a.get(i, 0.0) for i, c in terms if i != d)
-        if d == 0:
-            # leading coefficient vanishes here; the row degenerates into a
-            # consistency constraint on the already-fixed coefficients
-            scale = max((abs(c * a.get(i, 0.0)) for i, c in terms), default=1.0)
-            if abs(rhs) > _ONE_SIDED_CONSISTENCY_TOL * max(1.0, scale):
-                raise ConsistencyViolation(
-                    f"recurrence constraint at defining index 0 violated: "
-                    f"residual {abs(rhs):.3e}")
-            continue
         a[d] = -rhs / (2.0 * math.sqrt(config.pot.alpha) * d)
         if not cmath.isfinite(a[d]):
             raise NoConvergence(
                 f"series coefficient a_{d} overflowed; lower s_max "
                 "(the coefficients grow factorially)")
-    return SeriesSolution(omega=special_p(config.pot.beta),
-                          coefficients=a, config=config, normalization_index=0)
-
-
-def _build_windowed(config: SeriesConfig) -> SeriesSolution:
-    b = config.half_beta
-    s_min, s_max = config.s_min, config.s_max
-    n = s_max - s_min + 1
-    rows = []
-    # rows whose defining (highest) index lies in the window; lower indices
-    # outside the window read as zero, matching recurrence_residual
-    for s in range(s_min - b - 1, s_max - b):
-        row = np.zeros(n, dtype=complex)
-        for i, c in _recurrence_terms(s, config):
-            if s_min <= i <= s_max:
-                row[i - s_min] += c
-        rows.append(row)
-    matrix = np.array(rows)
-    if not np.all(np.isfinite(matrix)):
-        raise NoConvergence("recurrence coefficients overflowed; the SVD needs "
-                            "finite rows (alpha * kappa is too large)")
-    _, sing, vh = np.linalg.svd(matrix)
-    rel_residual = sing[-1] / sing[0]
-    if rel_residual > _WINDOWED_NULL_TOL:
-        raise NoConvergence(
-            f"no null vector with relative residual <= {_WINDOWED_NULL_TOL:.0e} "
-            f"(best {rel_residual:.3e})")
-    vec = vh[-1].conj()
-    top = int(np.argmax(np.abs(vec)))
-    vec = vec / vec[top]
-    coeffs = {s_min + k: complex(vec[k]) for k in range(n)}
-    return SeriesSolution(omega=special_p(config.pot.beta),
-                          coefficients=coeffs, config=config,
-                          normalization_index=s_min + top)
-
-
-def build_series(config: SeriesConfig) -> SeriesSolution:
-    """Solve the coefficient recurrence over the configured window."""
-    if config.strategy is Strategy.ONE_SIDED:
-        return _build_one_sided(config)
-    return _build_windowed(config)
+    top = 0
+    if config.strategy is Strategy.WINDOWED:
+        top = max(a, key=lambda s: abs(a[s]))
+        a = {s: c / a[top] for s, c in a.items()}
+    return SeriesSolution(omega=special_p(config.pot.beta), coefficients=a,
+                          config=config, normalization_index=top)
 
 
 def _check_origin(sol: SeriesSolution, origin: OriginAsymptotics) -> None:
-    beta = sol.config.pot.beta
-    if abs(2.0 * origin.delta + 2.0 - beta) > 1e-9 * max(1.0, beta):
+    want = origin_params(sol.config.pot)
+    if not (math.isclose(origin.gamma, want.gamma, rel_tol=1e-9)
+            and math.isclose(origin.delta, want.delta, rel_tol=1e-9)):
         raise DomainError("origin asymptotics do not match the series potential")
 
 

@@ -237,7 +237,7 @@ SERIES_ARGS = ("series", "--alpha", "1", "--beta", "6", "--kappa", "1")
     # the residual overflows: only the final non-finite output check sees it
     pytest.param(("series", "--alpha", "1e308", "--beta", "6", "--kappa", "1"),
                  id="series-alpha-overflow"),
-    # alpha * kappa overflows in the rows of the windowed system
+    # alpha * kappa overflows, so the forward solve stops at a_1
     pytest.param(("series", "--alpha", "1e308", "--beta", "4", "--kappa", "2",
                   "--strategy", "windowed"), id="series-windowed-overflow"),
 ])

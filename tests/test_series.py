@@ -166,6 +166,51 @@ class TestBuildWindowed:
                                      (s + 2, (s + 2) * (s + 1) + 4.0)])
             assert abs(res) <= 1e-10 * max(1.0, scale)
 
+    @pytest.mark.parametrize("s_min, s_max", [(-5, 10), (-5, 16), (0, 20)])
+    def test_matches_svd_null_vector(self, s_min, s_max):
+        # reference: the window system assembled column by column from unit
+        # vectors, its null vector taken by SVD
+        config = desk_config(s_min=s_min, s_max=s_max, strategy=Strategy.WINDOWED)
+        b = config.half_beta
+        window = range(s_min, s_max + 1)
+        matrix = np.array([[recurrence_residual({j: 1.0}, s, config) for j in window]
+                           for s in range(s_min - b - 1, s_max - b)])
+        null = np.linalg.svd(matrix)[2][-1].conj()
+        null = null / np.max(np.abs(null))
+        win = build_series(config)
+        got = np.array([win.coefficients[j] for j in window])
+        phase = null[win.normalization_index - s_min] / got[win.normalization_index - s_min]
+        assert abs(phase) == pytest.approx(1.0, rel=1e-12)
+        assert np.max(np.abs(null - phase * got)) <= 1e-9
+
+
+def scale_relative_residual(sol, r):
+    """|y'' + f y| / max(|y''|, |f y|) with y'' from a fourth-order central
+    stencil of step 1e-4 r; unlike ode_residual it is meaningful where
+    |y| << 1."""
+    cfg = sol.config
+    origin = origin_params(cfg.pot)
+    h = 1e-4 * r
+    ym2, ym1, y, yp1, yp2 = (evaluate_solution(sol, origin, r + k * h)
+                             for k in (-2, -1, 0, 1, 2))
+    ypp = (-ym2 + 16.0 * ym1 - 30.0 * y + 16.0 * yp1 - yp2) / (12.0 * h * h)
+    f = cfg.kappa - cfg.pot.alpha * r ** (-cfg.pot.beta) - (cfg.lam ** 2 - 0.25) / r ** 2
+    return float(np.max(np.abs(ypp + f * y) / np.maximum(np.abs(ypp), np.abs(f * y))))
+
+
+@pytest.mark.parametrize("s_min, s_max", [(0, 40), (-10, 40)])
+def test_windowed_wide_window_is_scaled_one_sided(s_min, s_max):
+    # a dense SVD of these windows loses a_0 to rounding, with scale-relative
+    # residuals of 0.12 and 0.59; the forward solve keeps it
+    one = build_series(desk_config(s_min=s_min, s_max=s_max))
+    win = build_series(desk_config(s_min=s_min, s_max=s_max, strategy=Strategy.WINDOWED))
+    top = max(one.coefficients, key=lambda s: abs(one.coefficients[s]))
+    assert win.normalization_index == top
+    for s, value in one.coefficients.items():
+        assert win.coefficients[s] == pytest.approx(value / one.coefficients[top],
+                                                    rel=1e-14, abs=1e-300)
+    assert scale_relative_residual(win, np.linspace(0.05, 0.2, 200)) <= 1e-6
+
 
 def interleaved_sums_reference(sol, r):
     """S, S' and S'' as three Horner chains advanced together in one loop
@@ -234,6 +279,15 @@ class TestEvaluate:
         wrong = origin_params(PotentialMonomial(1.0, 4.0))
         with pytest.raises(DomainError):
             evaluate_solution(sol, wrong, 1.0)
+
+    def test_rejects_origin_of_another_alpha(self):
+        # same beta, so delta agrees; only gamma tells the potentials apart
+        sol = build_series(desk_config(s_max=10))
+        wrong = origin_params(PotentialMonomial(4.0, 6.0))
+        with pytest.raises(DomainError):
+            evaluate_solution(sol, wrong, 0.1)
+        with pytest.raises(DomainError):
+            ode_residual(sol, wrong, 0.1)
 
 
 class TestOdeResidual:
