@@ -38,5 +38,6 @@ print("\n...but the truncated series is only valid near the origin:")
 for r in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0):
     res = ode_residual(sol, origin, r)
     print(f"  r = {r:<5} residual = {float(res):.3e}")
-print("\nThe residual explodes beyond r ~ 0.2: the expansion is asymptotic,"
-      "\nnot convergent, so it is a near-origin representation only.")
+print("\nBeyond r ~ 0.2 the residual is of order 1: y'' and f y no longer cancel"
+      "\nat all.  The expansion is asymptotic, not convergent, so it is a"
+      "\nnear-origin representation only.")

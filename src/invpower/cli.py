@@ -25,8 +25,8 @@ from .errors import (BracketError, ConfigurationError, DegenerateC,
                      DomainError, IntegrationDiverged, NoConvergence,
                      NotNormalizable, require_finite)
 from .groundstate import evaluate_ground_state, solve_ground_state
-from .oracle import (RadialGrid, Spacing, finite_difference_residual,
-                     shoot_ground_energy)
+from .oracle import (Direction, RadialGrid, Spacing, finite_difference_residual,
+                     integrate_radial, shoot_ground_energy)
 from .reduction import QuantumSetup, reduce_problem
 from .series import (SeriesConfig, Strategy, build_series, evaluate_solution,
                      ode_residual)
@@ -273,32 +273,26 @@ def _verify_series(args) -> int:
     config = _series_config(args)
     sol = build_series(config)
     origin = origin_params(config.pot)
-    grid = _grid_from(args, r_min=0.05, r_max=0.2, n=801)
+    span = _grid_from(args, r_min=0.05, r_max=0.2, n=4000, spacing=Spacing.LOG)
+    r = np.geomspace(span.r_min, span.r_max, max(span.n_points, 4000))
+    y = evaluate_solution(sol, origin, r)
+    if y[-1] == 0.0:
+        raise DomainError(f"the series underflows to 0 at r_max = {span.r_max:g}")
+    # start where the first steps resolve the exp(-gamma r^-delta) layer
+    start = int(np.argmax(np.abs(y) >= math.exp(-30.0) * abs(y[-1])))
+    grid = RadialGrid(r[start], span.r_max, len(r), Spacing.LOG)
+    y = evaluate_solution(sol, origin, grid.nodes())
     terms = ((config.pot.alpha, config.pot.beta),)
-
-    def gap_on(n_points: int):
-        rr = np.linspace(grid.r_min, grid.r_max, n_points)
-        fd = finite_difference_residual(rr, evaluate_solution(sol, origin, rr),
-                                        terms, config.kappa, config.lam)
-        reference = float(np.max(ode_residual(sol, origin, rr[1:-1])))
-        return fd, abs(fd - reference)
-
-    analytic = float(np.max(ode_residual(sol, origin, grid.nodes())))
-    (fd_coarse, gap_coarse), (fd_fine, gap_fine) = gap_on(grid.n_points), \
-        gap_on(2 * grid.n_points - 1)
-    # the finite-difference figure should approach the analytic one at
-    # second order in the grid spacing
-    bound = 0.35 * gap_coarse + 1e-12
-    passed = gap_fine <= bound or max(gap_coarse, gap_fine) <= 1e-10
-    _emit({
-        "status": "pass" if passed else "fail",
-        "analytic_residual": analytic,
-        "finite_difference_residual_h": fd_coarse,
-        "finite_difference_residual_h_over_2": fd_fine,
-    })
+    # f is real, so the real and imaginary parts are solutions on their own
+    sweep = sum(unit * integrate_radial(terms, config.kappa, config.lam, grid,
+                                        Direction.OUTWARD, (part[0], part[1]))
+                for unit, part in ((1.0, y.real), (1j, y.imag)))
+    gap = float(np.max(np.abs(sweep - y) / np.abs(y)))
+    passed = gap <= 1e-6
+    _emit({"status": "pass" if passed else "fail", "sweep_gap": gap,
+           "sweep_start": grid.r_min, "nodes": grid.n_points})
     if not passed:
-        print(f"fail: richardson gap_fine {gap_fine:.3g} > 0.35*gap_coarse+1e-12 "
-              f"{bound:.3g}", file=sys.stderr)
+        print(f"fail: sweep_gap {gap:.3g} > 1e-06", file=sys.stderr)
         return 2
     return 0
 

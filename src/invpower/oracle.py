@@ -147,7 +147,8 @@ def _numerov(sweeps, raise_on_overflow: bool) -> Tuple[List[np.ndarray], int]:
     first node past the limit raises IntegrationDiverged.  A non-finite
     value raises it either way, at the last finite node; it appears when
     one block grows by more than about 1e58, the float range over the
-    limit.  Nodes are reported by sweep index and x.
+    limit.  Nodes are reported by sweep index and x.  Some b_i <= 0 raises
+    DomainError: such a step flips the sign of u.
     """
     lengths = [len(x) for x, _, _, _ in sweeps]
     steps = _block_length(sum(lengths) - 2 * len(sweeps))
@@ -161,6 +162,8 @@ def _numerov(sweeps, raise_on_overflow: bool) -> Tuple[List[np.ndarray], int]:
     # are dropped
     hg = np.concatenate([(x[1] - x[0]) ** 2 / 12.0 * g for x, g, _, _ in sweeps])
     b = 1.0 - hg
+    if np.min(b) <= 0.0:
+        raise DomainError(f"grid too coarse: 1 - h^2 g / 12 reaches {np.min(b):.3g}")
     p = b[:-2] / b[2:]
     q = (hg[:-2] + 10.0 * hg[1:-1] + hg[2:]) / b[2:]
     padded = np.zeros((2, blocks * steps))

@@ -190,9 +190,9 @@ def evaluate_solution(sol: SeriesSolution, origin: OriginAsymptotics, r):
 def ode_residual(sol: SeriesSolution, origin: OriginAsymptotics, r):
     """Residual of the reduced radial equation for the truncated series.
 
-    Returns |y'' + (kappa - alpha r^-beta - (lam^2 - 1/4)/r^2) y| / max(1, |y|)
-    with y'' obtained by term-by-term analytic differentiation of the
-    closed-form factors (no finite differences).
+    Returns |y'' + f y| / max(|y''|, |f y|) <= 2, or 0 where both vanish,
+    with f = kappa - alpha r^-beta - (lam^2 - 1/4)/r^2 and y'' from term-by-
+    term analytic differentiation of the closed-form factors.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
@@ -210,5 +210,6 @@ def ode_residual(sol: SeriesSolution, origin: OriginAsymptotics, r):
     y = envelope * s0
     ypp = envelope * (s2 + 2.0 * g1 * s1 + (g2 + g1 * g1) * s0)
     f = cfg.kappa - cfg.pot.alpha * r ** (-cfg.pot.beta) - (cfg.lam**2 - 0.25) / r**2
-    res = np.abs(ypp + f * y) / np.maximum(1.0, np.abs(y))
+    scale = np.maximum(np.abs(ypp), np.abs(f * y))
+    res = np.abs(ypp + f * y) / np.where(scale > 0.0, scale, 1.0)
     return res if res.ndim else float(res)

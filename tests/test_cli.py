@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from invpower import series
 from invpower import (PotentialMonomial, SeriesConfig, SeriesSolution,
                       build_series, evaluate_solution, origin_params, ode_residual)
 from invpower.cli import main
@@ -189,16 +190,68 @@ def test_verify_ground_reports_shooting_diagnostics(capsys):
     assert payload["rescales"] == 0
 
 
-def test_verify_series_names_the_failed_check(capsys):
-    # a good series on a coarse grid: the Richardson test between 16 and
-    # 31 points fails
-    code, out, err = run(capsys, "verify", "--target", "series", "--alpha", "0.03125",
-                         "--beta", "10", "--kappa", "0.5", "--r-min", "0.125",
-                         "--n-points", "16")
+VERIFY_SERIES_ARGS = ("verify", "--target", "series", "--alpha", "1", "--beta", "6",
+                      "--kappa", "1", "--lambda", "0.5")
+
+
+def test_verify_series_names_the_failed_check(capsys, monkeypatch):
+    # a wrong recurrence: the a_{s+2} factor beta (s/2 + 3/4) becomes
+    # beta (s/2 - 1/4), and the series-seeded sweep parts from the series
+    right = series._recurrence_terms
+
+    def mutant(s, config):
+        return tuple((i, c - config.pot.beta if i == s + 2 else c)
+                     for i, c in right(s, config))
+
+    monkeypatch.setattr(series, "_recurrence_terms", mutant)
+    code, out, err = run(capsys, *VERIFY_SERIES_ARGS)
     assert code == 2
-    assert json.loads(out)["status"] == "fail"
+    payload = json.loads(out)
+    assert payload["status"] == "fail"
+    assert payload["sweep_gap"] > 1e-3
     assert err.count("\n") == 1
-    assert err.startswith("fail: richardson gap_fine ")
+    assert err.startswith("fail: sweep_gap ") and err.rstrip().endswith("> 1e-06")
+
+
+@pytest.mark.parametrize("extra", [
+    pytest.param((), id="defaults"),
+    # a 16-point grid: the sweep uses 4 000 nodes whatever --n-points says
+    pytest.param(("--alpha", "0.03125", "--beta", "10", "--kappa", "0.5",
+                  "--r-min", "0.125", "--n-points", "16"), id="coarse-grid"),
+])
+def test_verify_series_sweep_agrees_with_a_good_series(capsys, extra):
+    payload = run_json(capsys, *VERIFY_SERIES_ARGS, *extra)
+    assert payload["status"] == "pass"
+    assert payload["sweep_gap"] <= 1e-8
+    assert payload["nodes"] == 4000
+    assert 0.05 < payload["sweep_start"] < 0.2
+
+
+def test_verify_series_fails_beyond_the_series_reach(capsys):
+    # at beta = 4 the truncated series does not solve the ODE on [0.05, 0.2]
+    code, out, err = run(capsys, *VERIFY_SERIES_ARGS, "--beta", "4")
+    assert code == 2
+    assert json.loads(out)["sweep_gap"] > 0.5
+    assert err.startswith("fail: sweep_gap ")
+
+
+def test_verify_series_rejects_an_underflowing_series(capsys):
+    # exp(-gamma r^-delta) underflows to 0 at r_max = 0.06 for beta = 8
+    code, out, err = run(capsys, *VERIFY_SERIES_ARGS, "--beta", "8", "--r-max", "0.06")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "underflows to 0" in err
+
+
+@pytest.mark.parametrize("grid", [("300", "400"), ("1000", "200")])
+def test_verify_ground_rejects_a_grid_too_coarse_for_numerov(capsys, grid):
+    # h^2 r^2 (f - E) / 12 passes 1 at large r: such steps would flip the
+    # sign of the sweep and count false nodes
+    code, out, err = run(capsys, "verify", "--target", "ground", "--A", "1", "--B", "2",
+                         "--D", "-4", "--r-max", grid[0], "--n-points", grid[1])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: grid too coarse: 1 - h^2 g / 12 reaches -")
 
 
 def test_header_stability(capsys, tmp_path):

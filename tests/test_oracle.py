@@ -204,6 +204,17 @@ def test_numerov_counts_rescales():
     _assert_close(u, _numerov_reference(x, g, 1.0, 1.1), 1e-12)
 
 
+def test_numerov_rejects_sign_flipping_steps():
+    # h^2 g / 12 = 1.5 at one node of the second sweep: there b = -0.5, and
+    # a step through it would flip the sign of u and count a false node
+    x = np.linspace(0.0, 1.0, 101)
+    g = np.full(x.size, 10.0)
+    bad = g.copy()
+    bad[50] = 1.5 * 12.0 / (x[1] - x[0]) ** 2
+    with pytest.raises(DomainError, match="grid too coarse.*-0.5"):
+        oracle._numerov([(x, g, 1.0, 1.1), (x, bad, 1.0, 1.1)], raise_on_overflow=False)
+
+
 def test_ground_state_reference_fine_grid():
     # the difference form keeps the 60 000-node sweep of
     # test_ground_state_reference far inside its 1e-6 bound
