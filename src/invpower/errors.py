@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """An input violates a documented precondition (e.g. r <= 0, beta <= 2)."""
@@ -45,3 +47,12 @@ def require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+def require_radii(r) -> np.ndarray:
+    """Return r as a float array; raise DomainError unless every radius is
+    finite and positive.  NaN fails both comparisons, so it is rejected too."""
+    r = np.asarray(r, dtype=float)
+    if r.size and not (0.0 < r.min() and r.max() < math.inf):
+        raise DomainError("radii must be finite and positive")
+    return r

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateC, DomainError, NotNormalizable, require_finite
+from .errors import (DegenerateC, DomainError, NotNormalizable, require_finite,
+                     require_radii)
 
 # coefficient mismatches below this multiple of double rounding are treated
 # as exact zeros, so the residual is not polluted by r^-4 amplification of
@@ -81,9 +82,7 @@ def solve_ground_state(A: float, B: float, D: float) -> GroundStateSolution:
 
 def evaluate_ground_state(sol: GroundStateSolution, r):
     """y(r) = r^c * exp(a/r + b r); strictly positive (nodeless) for r > 0."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise DomainError("r must be positive")
+    r = require_radii(r)
     y = r**sol.c * np.exp(sol.a / r + sol.linear_slope_b * r)
     return y if y.ndim else float(y)
 
@@ -108,9 +107,7 @@ def ground_state_residual(sol: GroundStateSolution, A: float, B: float,
     double rounding count as exact, so the residual reflects genuine
     parameter inconsistencies (wrong C or E) rather than one-ulp noise.
     """
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise DomainError("r must be positive")
+    r = require_radii(r)
     a, b, c = sol.a, sol.linear_slope_b, sol.c
     # k'' + k'^2 = a^2/r^4 + 2a(1-c)/r^3 + (c(c-1) - 2ab)/r^2 + 2bc/r + b^2
     d4 = _snap(a * a - A, max(a * a, abs(A)))

@@ -22,6 +22,7 @@ variant of regula falsi (Dowell & Jarratt, BIT 11, 1971).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -58,12 +59,12 @@ class RadialGrid:
     spacing: Spacing = Spacing.UNIFORM
 
     def __post_init__(self):
-        require_finite(r_min=self.r_min, r_max=self.r_max, n_points=self.n_points)
+        require_finite(r_min=self.r_min, r_max=self.r_max)
         if self.r_min <= 0.0:
             raise DomainError("r_min must be positive")
         if self.r_max <= self.r_min:
             raise DomainError("r_max must exceed r_min")
-        if int(self.n_points) != self.n_points or self.n_points < 16:
+        if not isinstance(self.n_points, numbers.Integral) or self.n_points < 16:
             raise DomainError("n_points must be an integer >= 16")
 
     def nodes(self) -> np.ndarray:

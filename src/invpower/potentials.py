@@ -12,16 +12,14 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import require_radii
 
 PotentialTerms = Sequence[Tuple[float, float]]
 
 
 def evaluate_terms(terms: Iterable[Tuple[float, float]], r):
     """Evaluate sum of strength * r**(-power) at r (scalar or array, r > 0)."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise DomainError("potential terms are only defined for r > 0")
+    r = require_radii(r)
     total = np.zeros_like(r)
     for strength, power in terms:
         total = total + strength * r ** (-power)

@@ -20,7 +20,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, require_finite
+from .errors import DomainError, require_finite, require_radii
 from .potentials import PotentialTerms
 
 
@@ -83,11 +83,9 @@ def to_full_wavefunction(r, y, q: int):
     """Convert samples of y(r) back to psi(r) = r^(-(q-1)/2) y(r).
 
     ``r`` and ``y`` are matching arrays (or scalars); every radius must be
-    positive.
+    finite and positive.
     """
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise DomainError("all sample radii must be positive")
+    r = require_radii(r)
     if int(q) != q or q < 2:
         raise DomainError("dimension q must be an integer >= 2")
     y = np.asarray(y)

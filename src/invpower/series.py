@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Mapping, Tuple
@@ -37,7 +38,7 @@ import numpy as np
 from .asymptotics import (OriginAsymptotics, PotentialMonomial, origin_params,
                           special_p)
 from .errors import (ConfigurationError, DomainError, NoConvergence,
-                     require_finite)
+                     require_finite, require_radii)
 
 
 class Strategy(Enum):
@@ -69,6 +70,8 @@ class SeriesConfig:
             raise DomainError("kappa must be positive")
         if self.epsilon not in (1, -1):
             raise DomainError("epsilon must be +1 or -1")
+        if not all(isinstance(s, numbers.Integral) for s in (self.s_min, self.s_max)):
+            raise DomainError("s_min and s_max must be integers")
         if not (self.s_min <= 0 <= self.s_max):
             raise DomainError("window must satisfy s_min <= 0 <= s_max")
         if self.s_max - self.s_min < self.half_beta + 1:
@@ -125,10 +128,8 @@ def build_series(config: SeriesConfig) -> SeriesSolution:
     # the row defining a_0 (s = -b - 1) reads only negative indices, all
     # zero, so it holds and the solve starts at a_1
     for s in range(-b, config.s_max - b):
-        d = s + b + 1
-        terms = _recurrence_terms(s, config)
-        rhs = sum(c * a.get(i, 0.0) for i, c in terms if i != d)
-        a[d] = -rhs / (2.0 * math.sqrt(config.pot.alpha) * d)
+        (d, pivot), *rest = _recurrence_terms(s, config)
+        a[d] = -sum(c * a.get(i, 0.0) for i, c in rest) / pivot
         if not cmath.isfinite(a[d]):
             raise NoConvergence(
                 f"series coefficient a_{d} overflowed; lower s_max "
@@ -148,42 +149,35 @@ def _check_origin(sol: SeriesSolution, origin: OriginAsymptotics) -> None:
         raise DomainError("origin asymptotics do not match the series potential")
 
 
-def _sigma_sums(sol: SeriesSolution, r, derivatives: int):
-    """S = r^omega sigma and its first ``derivatives`` derivatives in r.
+def _series_values(sol: SeriesSolution, origin: OriginAsymptotics, r,
+                   derivatives: int):
+    """Radii as an array, the envelope exp(-gamma r^-delta) exp(i eps sqrt(kappa) r),
+    and S = r^omega sigma with its first ``derivatives`` derivatives in r.
 
-    Each is one Horner chain over the ascending powers, accumulated from the
-    most negative power upward for stability; the k-th chain weights a_s by
-    the falling factorial w (w - 1) ... (w - k + 1) of its power w.
-    """
+    The sums are one real product of the powers r^0 ... r^(N-1) with the
+    coefficients viewed as float pairs; column k weights a_s by the falling
+    factorial w (w - 1) ... (w - k + 1) of its power w.  Summing the terms
+    directly has the same rounding bound as Horner's rule."""
+    r = require_radii(r)
+    _check_origin(sol, origin)
     items = sorted(sol.coefficients.items())
     powers = np.array([s for s, _ in items], dtype=float) + sol.omega
-    weights = np.array([c for _, c in items], dtype=complex)
-    r = np.asarray(r, dtype=float)
+    columns = [np.array([c for _, c in items], dtype=complex)]
+    for k in range(derivatives):
+        columns.append(columns[-1] * (powers - k))
+    weights = np.stack(columns, axis=1).view(float)
+    sums = (r[..., None] ** np.arange(len(items)) @ weights).view(complex)
     base = r ** powers[0]
-    sums = []
-    for k in range(derivatives + 1):
-        acc = np.zeros(r.shape, dtype=complex)
-        for c in weights[::-1]:
-            acc = acc * r + c
-        sums.append(base * acc / r**k if k else base * acc)
-        weights = weights * (powers - k)
-    return sums
+    envelope = (np.exp(-origin.gamma * r ** (-origin.delta))
+                * np.exp(1j * sol.config.epsilon * math.sqrt(sol.config.kappa) * r))
+    return r, envelope, [base * sums[..., k] / r**k for k in range(derivatives + 1)]
 
 
 def evaluate_solution(sol: SeriesSolution, origin: OriginAsymptotics, r):
-    """Full solution y(r) = exp(-gamma r^-delta) exp(i eps r sqrt(kappa)) r^omega sigma(r).
-
-    Only the Horner chain of sigma itself runs; ode_residual adds the two
-    derivative chains.
-    """
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise DomainError("r must be positive")
-    _check_origin(sol, origin)
-    (s0,) = _sigma_sums(sol, r, 0)
-    eps = sol.config.epsilon
-    sqk = math.sqrt(sol.config.kappa)
-    y = np.exp(-origin.gamma * r ** (-origin.delta)) * np.exp(1j * eps * sqk * r) * s0
+    """Full solution y(r) = exp(-gamma r^-delta) exp(i eps r sqrt(kappa)) r^omega sigma(r)
+    at finite positive radii; a scalar r gives a complex."""
+    _, envelope, (s0,) = _series_values(sol, origin, r, 0)
+    y = envelope * s0
     return y if y.ndim else complex(y)
 
 
@@ -192,21 +186,14 @@ def ode_residual(sol: SeriesSolution, origin: OriginAsymptotics, r):
 
     Returns |y'' + f y| / max(|y''|, |f y|) <= 2, or 0 where both vanish,
     with f = kappa - alpha r^-beta - (lam^2 - 1/4)/r^2 and y'' from term-by-
-    term analytic differentiation of the closed-form factors.
+    term analytic differentiation of the closed-form factors.  Radii must be
+    finite and positive; a scalar r gives a float.
     """
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise DomainError("r must be positive")
-    _check_origin(sol, origin)
+    r, envelope, (s0, s1, s2) = _series_values(sol, origin, r, 2)
     cfg = sol.config
-    eps = cfg.epsilon
-    sqk = math.sqrt(cfg.kappa)
     gamma, delta = origin.gamma, origin.delta
-
-    s0, s1, s2 = _sigma_sums(sol, r, 2)
-    g1 = gamma * delta * r ** (-delta - 1.0) + 1j * eps * sqk
+    g1 = gamma * delta * r ** (-delta - 1.0) + 1j * cfg.epsilon * math.sqrt(cfg.kappa)
     g2 = -gamma * delta * (delta + 1.0) * r ** (-delta - 2.0)
-    envelope = np.exp(-gamma * r ** (-delta)) * np.exp(1j * eps * sqk * r)
     y = envelope * s0
     ypp = envelope * (s2 + 2.0 * g1 * s1 + (g2 + g1 * g1) * s0)
     f = cfg.kappa - cfg.pot.alpha * r ** (-cfg.pot.beta) - (cfg.lam**2 - 0.25) / r**2

@@ -227,20 +227,40 @@ def interleaved_sums_reference(sol, r):
     return base * s0, base * s1 / r, base * s2 / r**2
 
 
-@pytest.mark.parametrize("beta, s_max", [(4.0, 8), (6.0, 40), (10.0, 25)])
+@pytest.mark.parametrize("beta, s_max", [(4.0, 8), (6.0, 40), (10.0, 25), (8.0, 64), (4.0, 80)])
 def test_sigma_sums_match_interleaved_reference(beta, s_max):
-    # the same arithmetic in the same order within each chain, so equal to
-    # the last bit; evaluate_solution runs the first chain alone
+    # the evaluator sums the terms directly, not by Horner's rule, so the two
+    # agree to rounding rather than to the last bit (worst 7.8e-15 here)
     sol = build_series(desk_config(beta=beta, lam=1.5, eps=-1, s_max=s_max))
     origin = origin_params(sol.config.pot)
     r = np.linspace(0.03, 0.6, 97)
     reference = interleaved_sums_reference(sol, r)
-    for got, want in zip(series._sigma_sums(sol, r, 2), reference):
-        assert np.array_equal(got, want)
+    _, envelope, sums = series._series_values(sol, origin, r, 2)
+    for got, want in zip(sums, reference):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
     sqk = math.sqrt(sol.config.kappa)
     y = (np.exp(-origin.gamma * r ** (-origin.delta))
          * np.exp(1j * sol.config.epsilon * sqk * r) * reference[0])
-    assert np.array_equal(evaluate_solution(sol, origin, r), y)
+    np.testing.assert_allclose(evaluate_solution(sol, origin, r), y, rtol=1e-13, atol=0.0)
+
+
+def test_scalar_and_shaped_radii():
+    # a scalar r gives a Python scalar; an array keeps its shape.  Matrix
+    # products of different shapes may sum in different orders, so values
+    # agree to rounding: the residual is scale-relative, so to 1e-15 absolute
+    sol = build_series(desk_config(s_max=20))
+    origin = origin_params(sol.config.pot)
+    y, res = evaluate_solution(sol, origin, 0.1), ode_residual(sol, origin, 0.1)
+    assert type(y) is complex and type(res) is float
+    assert y == pytest.approx(evaluate_solution(sol, origin, np.array([0.1]))[0], rel=1e-13)
+    assert res == pytest.approx(ode_residual(sol, origin, np.array([0.1]))[0], abs=1e-15)
+    for shape in ((2, 3), (3, 1)):
+        flat = np.linspace(0.05, 0.2, np.prod(shape))
+        for fn in (evaluate_solution, ode_residual):
+            got = fn(sol, origin, flat.reshape(shape))
+            assert got.shape == shape
+            np.testing.assert_allclose(got.ravel(), fn(sol, origin, flat),
+                                       rtol=1e-13, atol=1e-15 if fn is ode_residual else 0.0)
 
 
 class TestEvaluate:
