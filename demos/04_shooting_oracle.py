@@ -2,8 +2,9 @@
 
 The oracle never sees the closed-form wavefunction: it integrates the radial
 equation outward from a generic exp(-sqrt(A)/r) seed and inward from a generic
-exp(-sqrt(-E) r) seed, and moves the energy by Illinois (regula falsi) steps
-until the two sweeps match smoothly (vanishing normalized Wronskian).
+exp(-sqrt(-E) r) seed, and moves the energy by Newton steps on the angle
+between the two sweeps, inside an Illinois (regula falsi) bracket, until they
+match smoothly (vanishing normalized Wronskian).
 Agreement with the algebraic energy is therefore meaningful evidence, not
 circular.
 """

@@ -256,6 +256,7 @@ def _verify_ground(args) -> int:
         "relative_energy_error": rel_err,
         "match_defect": result.match_defect,
         "iterations": result.iterations,
+        "newton_steps": result.newton_steps,
         "evaluations": result.evaluations,
         "nodes": result.nodes,
         "match_radius": result.match_radius,

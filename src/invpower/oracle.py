@@ -9,14 +9,15 @@ The reduced radial equation is integrated as y'' = f(r) y with
     f(r) = V(r) + (lam^2 - 1/4)/r^2 - kappa
 
 by one Numerov kernel on both grid spacings.  A uniform grid is swept in r.
-A log grid is swept in x = ln r, where it is uniform, on u = r^(-1/2) y,
-which obeys u'' = (r^2 f + 1/4) u.  Inward sweeps run the same code over
-the reversed nodes.  The kernel carries u and its first difference, cuts
-the sweep into blocks of about sqrt(n/6) steps, advances the fundamental
-solutions of all blocks at once in numpy and stitches the blocks together
-with 2x2 transfer steps.  Bound-state energies are roots of the matching defect
-between outward and inward sweeps, on either spacing, found by the Illinois
-variant of regula falsi (Dowell & Jarratt, BIT 11, 1971).
+A log grid, the exp of equally spaced x = ln r with both ends pinned, is
+swept in x on u = r^(-1/2) y, which obeys u'' = (r^2 f + 1/4) u.  Inward
+sweeps run the same code over the reversed nodes.  The kernel carries u and
+its first difference, cuts the sweep into blocks of about sqrt(n/6) steps,
+advances the fundamental solutions of all blocks at once in numpy and
+stitches the blocks together with 2x2 transfer steps.  Bound-state energies
+are roots of the outward and inward sweeps' matching defect, found by Newton
+steps on their mismatch angle (Cooley, Math. Comp. 15, 363, 1961) inside an
+Illinois bracket (Dowell & Jarratt, BIT 11, 1971).
 """
 
 from __future__ import annotations
@@ -70,22 +71,25 @@ class RadialGrid:
     def nodes(self) -> np.ndarray:
         if self.spacing is Spacing.UNIFORM:
             return np.linspace(self.r_min, self.r_max, self.n_points)
-        return np.geomspace(self.r_min, self.r_max, self.n_points)
+        r = np.exp(np.linspace(math.log(self.r_min), math.log(self.r_max), self.n_points))
+        r[0], r[-1] = self.r_min, self.r_max
+        return r
 
 
 @dataclass(frozen=True)
 class ShootingResult:
-    """``iterations`` counts root-finder steps and ``evaluations`` defect
-    calls (the steps plus the two bracket ends); ``trace`` holds the
-    (energy, defect) pair of each call in order.  ``nodes`` counts the sign
-    changes of the outward sweep below the match node plus those of the
-    inward sweep above it, and ``rescales`` the overflow rescales of both
-    sweeps, at the returned energy: 0 nodes for a ground state.  The sweeps
-    meet at ``match_radius``."""
+    """``iterations`` counts root-finder steps, ``newton_steps`` the Newton
+    ones, and ``evaluations`` defect calls (the steps plus the two bracket
+    ends); ``trace`` holds the (energy, defect) pair of each call in order.
+    ``nodes`` counts the sign changes of the outward sweep below the match
+    node plus those of the inward sweep above it, and ``rescales`` the
+    overflow rescales of both sweeps, at the returned energy: 0 nodes for a
+    ground state.  The sweeps meet at ``match_radius``."""
 
     energy: float
     match_defect: float
     iterations: int
+    newton_steps: int
     converged: bool
     evaluations: int
     nodes: int
@@ -159,20 +163,17 @@ def _numerov(sweeps, raise_on_overflow: bool) -> Tuple[List[np.ndarray], int]:
     counts = [(n - 2) // steps + 1 for n in lengths]
     blocks = sum(counts)
 
-    # h^2/12 g of all sweeps end to end; the steps that straddle two sweeps
-    # are dropped
-    hg = np.concatenate([(x[1] - x[0]) ** 2 / 12.0 * g for x, g, _, _ in sweeps])
-    b = 1.0 - hg
-    if np.min(b) <= 0.0:
-        raise DomainError(f"grid too coarse: 1 - h^2 g / 12 reaches {np.min(b):.3g}")
-    p = b[:-2] / b[2:]
-    q = (hg[:-2] + 10.0 * hg[1:-1] + hg[2:]) / b[2:]
     padded = np.zeros((2, blocks * steps))
-    node = slot = 0
-    for n, count in zip(lengths, counts):
-        padded[0, slot: slot + n - 2] = p[node: node + n - 2]
-        padded[1, slot: slot + n - 2] = q[node: node + n - 2]
-        node += n
+    slot = 0
+    for (x, g, _, _), count in zip(sweeps, counts):
+        hg = (x[1] - x[0]) ** 2 / 12.0 * g
+        b = 1.0 - hg
+        b_min = b.min()
+        if b_min <= 0.0:
+            raise DomainError(f"grid too coarse: 1 - h^2 g / 12 reaches {b_min:.3g}")
+        p, q = padded[:, slot: slot + len(x) - 2]
+        np.divide(b[:-2], b[2:], p)
+        np.divide(hg[:-2] + 10.0 * hg[1:-1] + hg[2:], b[2:], q)
         slot += count * steps
     # pq[:, j] holds step j of every block, once for each fundamental solution
     pq = np.empty((2, steps, 2 * blocks))
@@ -217,7 +218,8 @@ def _numerov(sweeps, raise_on_overflow: bool) -> Tuple[List[np.ndarray], int]:
     solutions = []
     slot = 0
     for (x, _, u0, _), count, r in zip(sweeps, counts, rescales):
-        sol = np.concatenate(((u0 * _OVERFLOW_LIMIT ** -r,), values[slot: slot + len(x) - 1]))
+        sol = np.empty(len(x))
+        sol[0], sol[1:] = u0 * _OVERFLOW_LIMIT ** -r, values[slot: slot + len(x) - 1]
         slot += count * steps
         # the seeds are not checked
         if not np.max(np.abs(sol[2:])) <= limit:
@@ -245,16 +247,14 @@ def integrate_radial(terms: PotentialTerms, kappa: float, lam: float,
     r = grid.nodes()
     x, w, scale, c = _sweep_variables(grid.spacing, r)
     g = w * _f_values(terms, kappa, lam, r) + c
-    sweep = np.arange(len(r))
-    if direction is Direction.INWARD:
-        sweep = sweep[::-1]
+    sweep = slice(None, None, -1 if direction is Direction.INWARD else 1)
     try:
-        (u,), _ = _numerov([(x[sweep], g[sweep], y0 / scale[sweep[0]],
-                             y1 / scale[sweep[1]])], raise_on_overflow=True)
+        (u,), _ = _numerov([(x[sweep], g[sweep], y0 / scale[sweep][0],
+                             y1 / scale[sweep][1])], raise_on_overflow=True)
     except IntegrationDiverged as exc:
-        i = int(sweep[exc.last_index])
+        i = range(len(r))[sweep][exc.last_index]
         raise IntegrationDiverged(str(exc), i, float(r[i])) from None
-    # sweep is the identity or a reversal, so indexing by it again restores
+    # sweep is the identity or a reversal, so slicing by it again restores
     # the order of grid.nodes()
     return scale * u[sweep]
 
@@ -266,6 +266,8 @@ def finite_difference_residual(r: np.ndarray, y: np.ndarray,
     second difference; requires a uniform grid with at least 5 points."""
     r = np.asarray(r, dtype=float)
     y = np.asarray(y)
+    if not np.all(np.isfinite(y)):
+        raise DomainError("y must be finite")
     if len(r) < 5:
         raise DomainError("need at least 5 grid points")
     h = np.diff(r)
@@ -281,19 +283,21 @@ def _sign_changes(u: np.ndarray) -> int:
     return int(np.count_nonzero(np.sign(u[:-1]) * np.sign(u[1:]) < 0.0))
 
 
-def _matching_defect(x: np.ndarray, g: np.ndarray, scale: np.ndarray,
-                     r: np.ndarray, imatch: int, inner_decay: float,
-                     energy: float) -> Tuple[float, int, int]:
+def _matching_defect(x: np.ndarray, g: np.ndarray, w: np.ndarray,
+                     scale: np.ndarray, r: np.ndarray, imatch: int,
+                     inner_decay: float, energy: float) -> tuple:
     """Normalized Wronskian, in x, of the outward and inward sweeps of
-    u'' = g u at the match node, the sweeps' sign changes on either side
-    of it, and their rescales.  The Wronskian in x has the same zeros as the
-    one in r.  Both sweeps go through one kernel call.
-
-    Seeds are the generic decay forms exp(-inner_decay / r) at the origin
-    and exp(-sqrt(-E) r) at infinity, never the closed-form wavefunction.
+    u'' = g u at the match node, which is sin Delta for the angle Delta
+    between their (u, u'); Delta; its slope S = -dDelta/dE; the sweeps'
+    rescales; and the sweeps on either side of the match node, each divided
+    by the length of its (u, u') there.  The Wronskian in x has the same
+    zeros as the one in r.  Both sweeps go through one kernel call.  With
+    dg/dE = -w, S is the trapezoid sum of w u^2 over both normalized sweeps,
+    halved at the match node.  Seeds are the generic decay forms
+    exp(-inner_decay / r) at the origin and exp(-sqrt(-E) r) at infinity,
+    never the closed-form wavefunction.
     """
-    h = x[1] - x[0]
-    decay = math.sqrt(-energy)
+    h, decay = x[1] - x[0], math.sqrt(-energy)
     (out, rev), rescales = _numerov([
         (x[: imatch + 3], g[: imatch + 3],
          math.exp(inner_decay * (1.0 / r[1] - 1.0 / r[0])) / scale[0], 1.0 / scale[1]),
@@ -301,21 +305,26 @@ def _matching_defect(x: np.ndarray, g: np.ndarray, scale: np.ndarray,
          math.exp(-decay * (r[-1] - r[-2])) / scale[-1], 1.0 / scale[-2]),
     ], raise_on_overflow=False)
     inn = rev[::-1]  # inn[k] is the inward solution at x[imatch - 2 + k]
-    j = 2
     d_out = (-out[imatch + 2] + 8.0 * out[imatch + 1]
              - 8.0 * out[imatch - 1] + out[imatch - 2]) / (12.0 * h)
-    d_in = (-inn[j + 2] + 8.0 * inn[j + 1] - 8.0 * inn[j - 1] + inn[j - 2]) / (12.0 * h)
+    d_in = (-inn[4] + 8.0 * inn[3] - 8.0 * inn[1] + inn[0]) / (12.0 * h)
     # each sweep is normalized on its own, so the products cannot overflow
-    n_out, n_in = math.hypot(d_out, out[imatch]), math.hypot(d_in, inn[j])
-    defect = (d_out / n_out) * (inn[j] / n_in) - (d_in / n_in) * (out[imatch] / n_out)
-    nodes = _sign_changes(out[: imatch + 1]) + _sign_changes(inn[j:])
-    return float(defect), nodes, rescales
+    n_out, n_in = math.hypot(d_out, out[imatch]), math.hypot(d_in, inn[2])
+    a, b = out[: imatch + 1] / n_out, inn[2:] / n_in
+    slope = h * (np.dot(w[: imatch + 1] * a, a) + np.dot(w[imatch:] * b, b)
+                 - 0.5 * w[imatch] * (a[-1] ** 2 + b[0] ** 2))
+    defect = (d_out / n_out) * b[0] - (d_in / n_in) * a[-1]
+    cos = (d_out / n_out) * (d_in / n_in) + a[-1] * b[0]
+    return float(defect), math.atan2(defect, cos), float(slope), rescales, (a, b)
 
 
 def shoot_ground_energy(terms: PotentialTerms, bracket: Tuple[float, float],
                         grid: RadialGrid, tolerance: float = 1e-10) -> ShootingResult:
     """Find the bound-state energy in the bracket as a root of the matching
-    defect, by Illinois steps, on a uniform or a log grid.
+    defect, on a uniform or a log grid, by Newton steps on the mismatch angle
+    inside an Illinois bracket: each step is E + Delta / S from the latest
+    energy, at first from the bracket end with the smaller |Delta|, where
+    that lies strictly inside the bracket, and an Illinois step otherwise.
 
     The bracket must satisfy E_lo < E_hi < 0 and contain a sign change of
     the defect; the match node sits at the minimum of the effective
@@ -334,25 +343,34 @@ def shoot_ground_energy(terms: PotentialTerms, bracket: Tuple[float, float],
     if a4 <= 0.0:
         raise DomainError("shooting seeds need a repulsive r^-4 term")
     inner_decay = math.sqrt(a4)
+    g0 = w * f0 + c
 
     trace = []
 
-    def defect(energy: float) -> Tuple[float, int, int]:
-        result = _matching_defect(x, w * (f0 - energy) + c, scale, r, imatch,
+    def defect(energy: float):
+        result = _matching_defect(x, g0 - energy * w, w, scale, r, imatch,
                                   inner_decay, energy)
         trace.append((energy, result[0]))
         return result
 
-    (g_lo, _, _), (g_hi, _, _) = defect(e_lo), defect(e_hi)
+    (g_lo, angle_lo, slope_lo, _, _), (g_hi, angle, slope, _, _) = defect(e_lo), defect(e_hi)
     if not (math.isfinite(g_lo) and math.isfinite(g_hi)) or g_lo * g_hi > 0.0:
         raise BracketError("matching defect has no sign change in the bracket")
+    energy, angle, slope = ((e_lo, angle_lo, slope_lo) if abs(angle_lo) < abs(angle)
+                            else (e_hi, angle, slope))
     # Illinois: a regula falsi step, halving the defect at an end that stays
     # put for a second step in a row, so that both ends close in on the root
     moved = None
+    newton_steps = 0
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        # clamped, since rounding can put the step an ulp outside the bracket
-        energy = min(max(e_hi - g_hi * (e_hi - e_lo) / (g_hi - g_lo), e_lo), e_hi)
-        g, nodes, rescales = defect(energy)
+        # energy is an end of the bracket, so an infinite slope falls back too
+        newton = energy + angle / slope if slope > 0.0 else math.nan
+        if e_lo < newton < e_hi:
+            energy, newton_steps = newton, newton_steps + 1
+        else:
+            # clamped, since rounding can put the step an ulp outside the bracket
+            energy = min(max(e_hi - g_hi * (e_hi - e_lo) / (g_hi - g_lo), e_lo), e_hi)
+        g, angle, slope, rescales, (a, b) = defect(energy)
         if abs(g) <= tolerance or (e_hi - e_lo) < 1e-14 * abs(energy):
             break
         if (g > 0.0) == (g_hi > 0.0):
@@ -368,7 +386,8 @@ def shoot_ground_energy(terms: PotentialTerms, bracket: Tuple[float, float],
     else:
         raise NoConvergence("root finder exhausted its iteration budget")
     return ShootingResult(energy=energy, match_defect=g, iterations=iteration,
-                          converged=abs(g) <= tolerance,
-                          evaluations=iteration + 2, nodes=nodes,
+                          newton_steps=newton_steps, converged=abs(g) <= tolerance,
+                          evaluations=iteration + 2,
+                          nodes=_sign_changes(a) + _sign_changes(b),
                           match_radius=float(r[imatch]), rescales=rescales,
                           trace=tuple(trace))

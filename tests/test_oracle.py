@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from invpower import (BracketError, Direction, DomainError,
                       evaluate_ground_state, finite_difference_residual,
                       integrate_radial, shoot_ground_energy,
                       solve_ground_state)
+from invpower.cli import main
 
 FREE_LAM = 0.5  # makes the centrifugal term vanish
 
@@ -256,6 +258,14 @@ class TestFiniteDifference:
         with pytest.raises(DomainError):
             finite_difference_residual(r, np.ones_like(r), (), 1.0, FREE_LAM)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        r = np.linspace(0.1, 1.0, 101)
+        y = np.ones_like(r)
+        y[50] = bad
+        with pytest.raises(DomainError, match="finite"):
+            finite_difference_residual(r, y, (), 1.0, FREE_LAM)
+
 
 class TestShooting:
     GRID = RadialGrid(0.08, 14.0, 16_000)
@@ -340,7 +350,69 @@ class TestIllinoisShooting:
         grid = RadialGrid(0.08, 80.0, 2_000, Spacing.LOG)
         excited = shoot_ground_energy(terms, (-0.30, -0.20), grid)
         assert excited.nodes == 1
-        assert excited.energy == pytest.approx(-0.2537, abs=1e-4)
+        assert excited.energy == pytest.approx(-0.2536922636, abs=1e-10)
         ground = shoot_ground_energy(terms, (-0.9, -0.3), grid)
         assert ground.nodes == 0
         assert ground.energy == pytest.approx(sol.energy, rel=1e-9)
+        assert ground.energy == pytest.approx(-0.4811411805, abs=1e-10)
+        assert ground.evaluations <= 8
+
+
+def _angle_and_slope(terms, grid, energy):
+    """(Delta, S) of the matching defect at one energy, set up as the shoot
+    sets it up."""
+    r = grid.nodes()
+    x, w, scale, c = oracle._sweep_variables(grid.spacing, r)
+    f0 = oracle._f_values(terms, 0.0, 0.0, r)
+    imatch = int(np.clip(np.argmin(f0), 5, len(r) - 6))
+    _, angle, slope, _, _ = oracle._matching_defect(
+        x, w * (f0 - energy) + c, w, scale, r, imatch,
+        math.sqrt(oracle.term_with_power(terms, 4.0)), energy)
+    return angle, slope
+
+
+class TestNewtonShooting:
+    @pytest.mark.parametrize("grid", [RadialGrid(0.08, 50.0, 2_000, Spacing.LOG),
+                                      RadialGrid(0.08, 14.0, 16_000)],
+                             ids=["log", "uniform"])
+    @pytest.mark.parametrize("terms", FAMILY, ids=["first", "second"])
+    @pytest.mark.parametrize("energy", [-1.5, -1.0, -0.7])
+    def test_slope_is_the_energy_derivative_of_the_angle(self, terms, grid, energy):
+        # a central difference of the mismatch angle itself, which knows
+        # nothing of the integral that gives S
+        eps = 1e-6 * abs(energy)
+        lower, _ = _angle_and_slope(terms, grid, energy - eps)
+        upper, _ = _angle_and_slope(terms, grid, energy + eps)
+        _, slope = _angle_and_slope(terms, grid, energy)
+        assert slope == pytest.approx(-(upper - lower) / (2.0 * eps), rel=1e-4)
+
+    @pytest.mark.parametrize("terms", FAMILY, ids=["first", "second"])
+    def test_illinois_alone_reaches_the_same_energy(self, terms, monkeypatch):
+        # a tolerance far below the default, so that both stop at the root
+        # of the discrete defect, not somewhere inside its default band
+        grid = RadialGrid(0.08, 50.0, 2_000, Spacing.LOG)
+        newton = shoot_ground_energy(terms, (-2.0, -0.5), grid, tolerance=1e-13)
+        assert newton.newton_steps > 0
+        matching_defect = oracle._matching_defect
+
+        def no_slope(*args):
+            defect, angle, _, rescales, sweeps = matching_defect(*args)
+            return defect, angle, math.nan, rescales, sweeps
+
+        monkeypatch.setattr(oracle, "_matching_defect", no_slope)
+        illinois = shoot_ground_energy(terms, (-2.0, -0.5), grid, tolerance=1e-13)
+        assert illinois.converged and illinois.newton_steps == 0
+        assert illinois.energy == pytest.approx(newton.energy, abs=1e-12)
+        assert illinois.evaluations > newton.evaluations
+
+    @pytest.mark.parametrize("A,B,D", [(1.0, 2.0, -4.0), (1.0, 0.0, -1.0),
+                                       (4.0, 0.0, -2.0), (1.0, 0.0, -0.6),
+                                       (2.0, 1.0, -3.0)])
+    def test_evaluations_on_default_brackets(self, A, B, D, capsys):
+        # the bracket (2E, E/2) and the log grid of invpower verify
+        code = main(["verify", "--target", "ground", "--A", repr(A),
+                     "--B", repr(B), "--D", repr(D)])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["evaluations"] <= 8
+        assert 0 <= payload["newton_steps"] <= payload["iterations"]
