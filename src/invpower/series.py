@@ -31,7 +31,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
@@ -93,21 +93,26 @@ class SeriesSolution:
     normalization_index: int
 
 
+def _recurrence_rows(config: SeriesConfig, shifts: Iterable[int]):
+    """(index, coefficient) pairs of the recurrence row at each shift s, the
+    a_{s+b+1} pair first; the factors that do not depend on s are formed once."""
+    beta, b, eps = config.pot.beta, config.half_beta, config.epsilon
+    sqk, lead = math.sqrt(config.kappa), 2.0 * math.sqrt(config.pot.alpha)
+    cross = 2j * eps * math.sqrt(config.pot.alpha * config.kappa)
+    omega_sq = beta**2 / 16.0
+    centrifugal = config.lam**2 - 0.25
+    slope, offset = 2j * eps * sqk, 0.5j * eps * beta * sqk
+    for s in shifts:
+        yield ((s + b + 1, lead * (s + b + 1)),
+               (s + b, cross),
+               (s + 2, (s + 2) * (s + 1) + omega_sq
+                       + beta * (0.5 * s + 0.75) - centrifugal),
+               (s + 1, slope * (s + 1) + offset))
+
+
 def _recurrence_terms(s: int, config: SeriesConfig) -> Tuple[Tuple[int, complex], ...]:
     """(index, coefficient) pairs of the recurrence row at shift s."""
-    alpha, beta = config.pot.alpha, config.pot.beta
-    b = config.half_beta
-    eps = config.epsilon
-    sqa = math.sqrt(alpha)
-    sqk = math.sqrt(config.kappa)
-    sqak = math.sqrt(alpha * config.kappa)
-    return (
-        (s + b + 1, 2.0 * sqa * (s + b + 1)),
-        (s + b, 2j * eps * sqak),
-        (s + 2, (s + 2) * (s + 1) + beta**2 / 16.0
-                + beta * (0.5 * s + 0.75) - (config.lam**2 - 0.25)),
-        (s + 1, 2j * eps * sqk * (s + 1) + 0.5j * eps * beta * sqk),
-    )
+    return next(_recurrence_rows(config, (s,)))
 
 
 def recurrence_residual(coeffs: Mapping[int, complex], s: int,
@@ -121,15 +126,18 @@ def recurrence_residual(coeffs: Mapping[int, complex], s: int,
 
 def build_series(config: SeriesConfig) -> SeriesSolution:
     """Solve the coefficient recurrence forward from a_0 = 1 over the window;
-    WINDOWED then scales the coefficients to their largest one."""
+    WINDOWED then scales the coefficients to their largest one.  Each row of
+    ``_recurrence_rows`` gives a_{s+b+1} from its three lower coefficients."""
     b = config.half_beta
     a: Dict[int, complex] = {s: 0.0 + 0.0j for s in range(config.s_min, 0)}
     a[0] = 1.0 + 0.0j
+    get = a.get
     # the row defining a_0 (s = -b - 1) reads only negative indices, all
-    # zero, so it holds and the solve starts at a_1
-    for s in range(-b, config.s_max - b):
-        (d, pivot), *rest = _recurrence_terms(s, config)
-        a[d] = -sum(c * a.get(i, 0.0) for i, c in rest) / pivot
+    # zero, so it holds and the solve starts at a_1; a sum starting from 0,
+    # as sum() does, turns negative zeros into +0
+    for (d, pivot), (i, ci), (j, cj), (k, ck) in _recurrence_rows(
+            config, range(-b, config.s_max - b)):
+        a[d] = -(0 + ci * get(i, 0.0) + cj * get(j, 0.0) + ck * get(k, 0.0)) / pivot
         if not cmath.isfinite(a[d]):
             raise NoConvergence(
                 f"series coefficient a_{d} overflowed; lower s_max "
@@ -157,7 +165,10 @@ def _series_values(sol: SeriesSolution, origin: OriginAsymptotics, r,
     The sums are one real product of the powers r^0 ... r^(N-1) with the
     coefficients viewed as float pairs; column k weights a_s by the falling
     factorial w (w - 1) ... (w - k + 1) of its power w.  Summing the terms
-    directly has the same rounding bound as Horner's rule."""
+    directly has the same rounding bound as Horner's rule.  Rows k ... 2k-1
+    of the powers are rows 0 ... k-1 times r^k = (r^(k/2))^2: a few array
+    products, not one pow per element, and none above r^(N-1), which could
+    overflow where the sums do not."""
     r = require_radii(r)
     _check_origin(sol, origin)
     items = sorted(sol.coefficients.items())
@@ -166,11 +177,20 @@ def _series_values(sol: SeriesSolution, origin: OriginAsymptotics, r,
     for k in range(derivatives):
         columns.append(columns[-1] * (powers - k))
     weights = np.stack(columns, axis=1).view(float)
-    sums = (r[..., None] ** np.arange(len(items)) @ weights).view(complex)
+    r_pow = np.empty((len(items), r.size))
+    r_pow[0] = 1.0
+    r_pow[1:2] = r.reshape(-1)
+    k = 2
+    while k < len(items):
+        rows = r_pow[k:2 * k]
+        np.multiply(r_pow[:len(rows)], r_pow[k // 2] ** 2, out=rows)
+        k *= 2
+    sums = (r_pow.T @ weights).view(complex).reshape(r.shape + (derivatives + 1,))
     base = r ** powers[0]
-    envelope = (np.exp(-origin.gamma * r ** (-origin.delta))
-                * np.exp(1j * sol.config.epsilon * math.sqrt(sol.config.kappa) * r))
-    return r, envelope, [base * sums[..., k] / r**k for k in range(derivatives + 1)]
+    envelope = np.exp(-origin.gamma * r ** (-origin.delta)
+                      + 1j * sol.config.epsilon * math.sqrt(sol.config.kappa) * r)
+    return r, envelope, [base * sums[..., 0]] + [base * sums[..., k] / r**k
+                                                 for k in range(1, derivatives + 1)]
 
 
 def evaluate_solution(sol: SeriesSolution, origin: OriginAsymptotics, r):

@@ -197,13 +197,13 @@ VERIFY_SERIES_ARGS = ("verify", "--target", "series", "--alpha", "1", "--beta", 
 def test_verify_series_names_the_failed_check(capsys, monkeypatch):
     # a wrong recurrence: the a_{s+2} factor beta (s/2 + 3/4) becomes
     # beta (s/2 - 1/4), and the series-seeded sweep parts from the series
-    right = series._recurrence_terms
+    right = series._recurrence_rows
 
-    def mutant(s, config):
-        return tuple((i, c - config.pot.beta if i == s + 2 else c)
-                     for i, c in right(s, config))
+    def mutant(config, shifts):
+        for lead, cross, (i, c), rest in right(config, shifts):
+            yield lead, cross, (i, c - config.pot.beta), rest
 
-    monkeypatch.setattr(series, "_recurrence_terms", mutant)
+    monkeypatch.setattr(series, "_recurrence_rows", mutant)
     code, out, err = run(capsys, *VERIFY_SERIES_ARGS)
     assert code == 2
     payload = json.loads(out)

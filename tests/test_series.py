@@ -1,13 +1,15 @@
 import cmath
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from invpower import (ConfigurationError, DomainError, PotentialMonomial,
-                      SeriesConfig, SeriesSolution, Strategy, build_series,
-                      evaluate_solution, ode_residual, origin_params,
+from invpower import (ConfigurationError, DomainError, NoConvergence,
+                      PotentialMonomial, SeriesConfig, SeriesSolution, Strategy,
+                      build_series, evaluate_solution, ode_residual, origin_params,
                       recurrence_residual, special_p)
 from invpower import series
 
@@ -184,6 +186,62 @@ class TestBuildWindowed:
         assert np.max(np.abs(null - phase * got)) <= 1e-9
 
 
+def forward_solve_reference(config):
+    """The forward solve one shift at a time through _recurrence_terms:
+    (coefficients, normalization index), or the index that overflowed."""
+    b = config.half_beta
+    a = {s: 0.0 + 0.0j for s in range(config.s_min, 0)}
+    a[0] = 1.0 + 0.0j
+    for s in range(-b, config.s_max - b):
+        (d, pivot), *rest = series._recurrence_terms(s, config)
+        a[d] = -sum(c * a.get(i, 0.0) for i, c in rest) / pivot
+        if not cmath.isfinite(a[d]):
+            return d
+    top = 0
+    if config.strategy is Strategy.WINDOWED:
+        top = max(a, key=lambda s: abs(a[s]))
+        a = {s: c / a[top] for s, c in a.items()}
+    return a, top
+
+
+def random_configs(count, seed=14):
+    rng = random.Random(seed)
+    for k in range(count):
+        beta = rng.choice((4, 6, 8, 10, 12))
+        lam = rng.uniform(0.0, 3.0)
+        assert (2.0 * lam) % 1.0 != 0.0
+        windowed = k % 2 == 1
+        s_min = rng.randint(-8, 0) if windowed else 0
+        yield desk_config(beta=float(beta), alpha=rng.uniform(0.1, 4.0),
+                          kappa=rng.uniform(0.1, 4.0), lam=lam, eps=rng.choice((1, -1)),
+                          s_min=s_min, s_max=rng.randint(beta // 2 + 1, 80),
+                          strategy=Strategy.WINDOWED if windowed else Strategy.ONE_SIDED)
+
+
+def test_build_matches_the_shift_by_shift_solve_to_the_bit():
+    for config in random_configs(240):
+        coeffs, top = forward_solve_reference(config)
+        sol = build_series(config)
+        assert list(sol.coefficients) == list(coeffs)
+        assert [repr(c) for c in sol.coefficients.values()] == [repr(c) for c in coeffs.values()]
+        assert sol.normalization_index == top
+
+
+@pytest.mark.parametrize("alpha, s_max, index", [(1e-300, 40, 6), (1.0, 10**6, 342)])
+def test_overflow_names_the_same_coefficient(alpha, s_max, index):
+    config = desk_config(alpha=alpha, s_max=s_max)
+    assert forward_solve_reference(config) == index
+    tracemalloc.start()
+    try:
+        with pytest.raises(NoConvergence, match=f"coefficient a_{index} overflowed"):
+            build_series(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the solve stops at the overflow: nothing is allocated by s_max
+    assert peak < 1_000_000
+
+
 def scale_relative_residual(sol, r):
     """|y'' + f y| / max(|y''|, |f y|) with y'' from a fourth-order central
     stencil of step 1e-4 r; unlike ode_residual it is meaningful where
@@ -242,6 +300,29 @@ def test_sigma_sums_match_interleaved_reference(beta, s_max):
     y = (np.exp(-origin.gamma * r ** (-origin.delta))
          * np.exp(1j * sol.config.epsilon * sqk * r) * reference[0])
     np.testing.assert_allclose(evaluate_solution(sol, origin, r), y, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("beta, s_max", [(6.0, 40), (4.0, 80)])
+def test_power_matrix_on_many_radii(beta, s_max):
+    # the powers come from repeated squaring, not one pow per element
+    sol = build_series(desk_config(beta=beta, s_max=s_max))
+    r = np.geomspace(0.05, 0.2, 4000)
+    _, _, sums = series._series_values(sol, origin_params(sol.config.pot), r, 2)
+    for got, want in zip(sums, interleaved_sums_reference(sol, r)):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("beta", [4.0, 6.0])
+def test_no_power_beyond_the_last_row_is_formed(beta):
+    # r^16 is finite at r = 1e10 and r^32 is not: a squaring past the last
+    # row used would overflow and warn
+    sol = build_series(desk_config(beta=beta, s_max=16))
+    origin = origin_params(sol.config.pot)
+    r = np.array([1e10, 3e9])
+    y = evaluate_solution(sol, origin, r)
+    res = ode_residual(sol, origin, r)
+    assert np.all(np.isfinite(y)) and np.all(np.abs(y) > 0.0)
+    assert np.all((0.0 <= res) & (res <= 2.0))
 
 
 def test_scalar_and_shaped_radii():
