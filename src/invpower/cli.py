@@ -363,11 +363,14 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; its ``commands`` maps each command name to
+    that command's own parser."""
     parser = _ArgumentParser(
         prog="invpower",
         description="Radial Schrodinger toolkit for repulsive inverse-power potentials")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
     for name, (func, help_, dests) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=func)
@@ -388,7 +391,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    # a call that names a command is parsed once, by that command's parser;
+    # the top-level parser takes the rest: no command, --help, --version or
+    # an unknown name
+    command = parser.commands.get(argv[0]) if argv else None
+    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     try:
         args._config = _load_config(args.config)
         # overflow is reported by the validators and _emit, not as warnings

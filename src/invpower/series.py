@@ -31,6 +31,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
@@ -85,12 +86,39 @@ class SeriesConfig:
 
 @dataclass(frozen=True)
 class SeriesSolution:
-    """Computed coefficients a_s over the window plus the exponent omega."""
+    """Computed coefficients a_s over the window plus the exponent omega.
+
+    ``coefficients`` is a read-only view of a copy of the mapping passed in,
+    so the evaluation arrays formed from it here cannot go stale: the powers
+    w = s + omega in increasing s, and the weight columns a_s, w a_s and
+    w (w - 1) a_s viewed as float pairs."""
 
     omega: float
-    coefficients: Dict[int, complex]
+    coefficients: Mapping[int, complex]
     config: SeriesConfig
     normalization_index: int
+    _powers: np.ndarray = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        coefficients = dict(self.coefficients)
+        indices = sorted(coefficients)
+        n = len(indices)
+        powers = np.fromiter(indices, float, n) + self.omega
+        weights = np.empty((n, 3), dtype=complex)
+        weights[:, 0] = np.fromiter(map(coefficients.__getitem__, indices), complex, n)
+        np.multiply(weights[:, 0], powers, out=weights[:, 1])
+        np.multiply(weights[:, 1], powers - 1.0, out=weights[:, 2])
+        weights = weights.view(float)
+        powers.flags.writeable = weights.flags.writeable = False
+        object.__setattr__(self, "coefficients", MappingProxyType(coefficients))
+        object.__setattr__(self, "_powers", powers)
+        object.__setattr__(self, "_weights", weights)
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle; the arrays are formed again
+        return SeriesSolution, (self.omega, dict(self.coefficients), self.config,
+                                self.normalization_index)
 
 
 def _recurrence_rows(config: SeriesConfig, shifts: Iterable[int]):
@@ -159,44 +187,41 @@ def _check_origin(sol: SeriesSolution, origin: OriginAsymptotics) -> None:
 
 def _series_values(sol: SeriesSolution, origin: OriginAsymptotics, r,
                    derivatives: int):
-    """Radii as an array, the envelope exp(-gamma r^-delta) exp(i eps sqrt(kappa) r),
-    and S = r^omega sigma with its first ``derivatives`` derivatives in r.
+    """Radii as an array, r^-delta, the envelope
+    exp(-gamma r^-delta) exp(i eps sqrt(kappa) r), and S = r^omega sigma with
+    its first ``derivatives`` (at most 2) derivatives in r.
 
     The sums are one real product of the powers r^0 ... r^(N-1) with the
-    coefficients viewed as float pairs; column k weights a_s by the falling
-    factorial w (w - 1) ... (w - k + 1) of its power w.  Summing the terms
-    directly has the same rounding bound as Horner's rule.  Rows k ... 2k-1
-    of the powers are rows 0 ... k-1 times r^k = (r^(k/2))^2: a few array
-    products, not one pow per element, and none above r^(N-1), which could
-    overflow where the sums do not."""
+    solution's weight columns; column k weights a_s by the falling factorial
+    w (w - 1) ... (w - k + 1) of its power w.  Summing the terms directly has
+    the same rounding bound as Horner's rule.  Rows k ... 2k-1 of the powers
+    are rows 0 ... k-1 times r^k = (r^(k/2))^2: a few array products, not one
+    pow per element, and none above r^(N-1), which could overflow where the
+    sums do not."""
     r = require_radii(r)
     _check_origin(sol, origin)
-    items = sorted(sol.coefficients.items())
-    powers = np.array([s for s, _ in items], dtype=float) + sol.omega
-    columns = [np.array([c for _, c in items], dtype=complex)]
-    for k in range(derivatives):
-        columns.append(columns[-1] * (powers - k))
-    weights = np.stack(columns, axis=1).view(float)
-    r_pow = np.empty((len(items), r.size))
+    powers, weights = sol._powers, sol._weights[:, :2 * derivatives + 2]
+    r_pow = np.empty((len(powers), r.size))
     r_pow[0] = 1.0
     r_pow[1:2] = r.reshape(-1)
     k = 2
-    while k < len(items):
+    while k < len(powers):
         rows = r_pow[k:2 * k]
         np.multiply(r_pow[:len(rows)], r_pow[k // 2] ** 2, out=rows)
         k *= 2
     sums = (r_pow.T @ weights).view(complex).reshape(r.shape + (derivatives + 1,))
     base = r ** powers[0]
-    envelope = np.exp(-origin.gamma * r ** (-origin.delta)
+    r_delta = r ** (-origin.delta)
+    envelope = np.exp(-origin.gamma * r_delta
                       + 1j * sol.config.epsilon * math.sqrt(sol.config.kappa) * r)
-    return r, envelope, [base * sums[..., 0]] + [base * sums[..., k] / r**k
-                                                 for k in range(1, derivatives + 1)]
+    return r, r_delta, envelope, [base * sums[..., 0]] + [base * sums[..., k] / r**k
+                                                          for k in range(1, derivatives + 1)]
 
 
 def evaluate_solution(sol: SeriesSolution, origin: OriginAsymptotics, r):
     """Full solution y(r) = exp(-gamma r^-delta) exp(i eps r sqrt(kappa)) r^omega sigma(r)
     at finite positive radii; a scalar r gives a complex."""
-    _, envelope, (s0,) = _series_values(sol, origin, r, 0)
+    _, _, envelope, (s0,) = _series_values(sol, origin, r, 0)
     y = envelope * s0
     return y if y.ndim else complex(y)
 
@@ -206,17 +231,21 @@ def ode_residual(sol: SeriesSolution, origin: OriginAsymptotics, r):
 
     Returns |y'' + f y| / max(|y''|, |f y|) <= 2, or 0 where both vanish,
     with f = kappa - alpha r^-beta - (lam^2 - 1/4)/r^2 and y'' from term-by-
-    term analytic differentiation of the closed-form factors.  Radii must be
-    finite and positive; a scalar r gives a float.
+    term analytic differentiation of the closed-form factors.  Since
+    beta = 2 delta + 2, the powers r^(-delta-1), r^(-delta-2) and r^-beta
+    come from the envelope's r^-delta and 1/r by products alone.  Radii must
+    be finite and positive; a scalar r gives a float.
     """
-    r, envelope, (s0, s1, s2) = _series_values(sol, origin, r, 2)
+    r, r_delta, envelope, (s0, s1, s2) = _series_values(sol, origin, r, 2)
     cfg = sol.config
     gamma, delta = origin.gamma, origin.delta
-    g1 = gamma * delta * r ** (-delta - 1.0) + 1j * cfg.epsilon * math.sqrt(cfg.kappa)
-    g2 = -gamma * delta * (delta + 1.0) * r ** (-delta - 2.0)
+    inv_r = 1.0 / r
+    r_d1 = r_delta * inv_r  # r^(-delta-1); its square is r^-beta
+    g1 = gamma * delta * r_d1 + 1j * cfg.epsilon * math.sqrt(cfg.kappa)
+    g2 = -gamma * delta * (delta + 1.0) * (r_d1 * inv_r)
     y = envelope * s0
     ypp = envelope * (s2 + 2.0 * g1 * s1 + (g2 + g1 * g1) * s0)
-    f = cfg.kappa - cfg.pot.alpha * r ** (-cfg.pot.beta) - (cfg.lam**2 - 0.25) / r**2
+    f = cfg.kappa - cfg.pot.alpha * (r_d1 * r_d1) - (cfg.lam**2 - 0.25) / r**2
     scale = np.maximum(np.abs(ypp), np.abs(f * y))
     res = np.abs(ypp + f * y) / np.where(scale > 0.0, scale, 1.0)
     return res if res.ndim else float(res)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import invpower
 from invpower import series
 from invpower import (PotentialMonomial, SeriesConfig, SeriesSolution,
                       build_series, evaluate_solution, origin_params, ode_residual)
@@ -317,6 +318,35 @@ def test_usage_errors_exit_1(capsys):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 0
+
+
+def test_usage_error_names_the_command(capsys):
+    # a call that names a command is parsed by that command's parser alone
+    with pytest.raises(SystemExit) as info:
+        main(["asym", "--alpha", "1", "--beta", "6", "--bogus", "1"])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: invpower asym")
+    assert "invpower asym: error: unrecognized arguments: --bogus 1" in err
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--bogus", "asym"]])
+def test_calls_without_a_command_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: invpower [-h] [--version]")
+
+
+def test_argv_defaults_to_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["invpower", "asym", "--alpha", "4", "--beta", "6"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["gamma"] == 1.0
+    monkeypatch.setattr("sys.argv", ["invpower", "--version"])
+    with pytest.raises(SystemExit) as info:
+        main()
+    assert info.value.code == 0
+    assert capsys.readouterr().out.strip() == invpower.__version__
 
 
 def test_negative_value_in_exponent_form(capsys):

@@ -1,6 +1,8 @@
 """Property test of the CLI contract: whatever numbers a user passes, every
 call ends in exit 0, 1 or 2, with strict JSON on stdout or an ``error:``
-line on stderr, and no exception other than argparse's exit escapes main."""
+line on stderr, and no exception other than argparse's exit escapes main.
+Each drawn call is also parsed both ways main could parse it: by its
+command's parser alone, as main does, and by the top-level parser."""
 
 import contextlib
 import io
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from invpower.cli import _COMMANDS, _FLAGS, main
+from invpower.cli import _COMMANDS, _FLAGS, build_parser, main
 
 # values that overflow or are not numbers at all; as text, the float ones
 # are also malformed integers
@@ -78,6 +80,27 @@ def _reject_constant(token):
     raise ValueError(f"non-finite JSON constant {token}")
 
 
+def _parse(parser, argv):
+    """What ``parser`` makes of ``argv``: the namespace as text (NaN is not
+    equal to itself) without the ``command`` the top level records, or the
+    exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            args = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, err.getvalue()
+    args.pop("command", None)
+    return repr(args)
+
+
+def assert_one_parse(argv):
+    """The command's parser, which main uses, reads ``argv`` as the
+    top-level parser does."""
+    parser = build_parser()
+    assert _parse(parser.commands[argv[0]], argv[1:]) == _parse(parser, argv), argv
+
+
 def _call(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -108,6 +131,7 @@ def test_cli_contract(command, data):
                     argv += [option, repr(strength), repr(power)]
             else:
                 argv.append(f"{option}={value if isinstance(value, str) else repr(value)}")
+        assert_one_parse(argv)
         code, out, err = _call(argv)
         assert code in (0, 1, 2), argv
         if code == 1:
@@ -119,3 +143,17 @@ def test_cli_contract(command, data):
             if code == 0:
                 assert err == "", argv
         assert all(path.exists() == (code == 0) for path in paths), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--mass", "1", "--hbar", "1", "--dimension", "3", "--angular-momentum", "0",
+     "--energy", "-1", "--term", "2", "4", "--term", "-0.5", "-1e0"],
+    ["ground", "--A", "1", "--B", "2", "--D=-1e308"],
+    ["ground", "--A", "1", "--B", "2", "--D", "-4e0"],
+    ["asym", "--config", "params.cfg", "--beta", "6"],
+    ["series", "--alpha", "1", "--beta", "6", "--kappa", "1", "--strategy", "windowed"],
+    ["verify", "--target", "bogus"],
+    ["ground", "--A", "1", "--D"],
+])
+def test_fixed_calls_parse_once(argv):
+    assert_one_parse(argv)

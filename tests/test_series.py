@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -293,7 +295,7 @@ def test_sigma_sums_match_interleaved_reference(beta, s_max):
     origin = origin_params(sol.config.pot)
     r = np.linspace(0.03, 0.6, 97)
     reference = interleaved_sums_reference(sol, r)
-    _, envelope, sums = series._series_values(sol, origin, r, 2)
+    _, _, envelope, sums = series._series_values(sol, origin, r, 2)
     for got, want in zip(sums, reference):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
     sqk = math.sqrt(sol.config.kappa)
@@ -307,7 +309,7 @@ def test_power_matrix_on_many_radii(beta, s_max):
     # the powers come from repeated squaring, not one pow per element
     sol = build_series(desk_config(beta=beta, s_max=s_max))
     r = np.geomspace(0.05, 0.2, 4000)
-    _, _, sums = series._series_values(sol, origin_params(sol.config.pot), r, 2)
+    _, _, _, sums = series._series_values(sol, origin_params(sol.config.pot), r, 2)
     for got, want in zip(sums, interleaved_sums_reference(sol, r)):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -323,6 +325,31 @@ def test_no_power_beyond_the_last_row_is_formed(beta):
     res = ode_residual(sol, origin, r)
     assert np.all(np.isfinite(y)) and np.all(np.abs(y) > 0.0)
     assert np.all((0.0 <= res) & (res <= 2.0))
+
+
+def test_evaluations_of_one_solution_are_identical():
+    # the evaluation arrays are formed once, when the solution is made
+    sol = build_series(desk_config(beta=8.0, lam=1.0, s_max=30))
+    origin = origin_params(sol.config.pot)
+    r = np.geomspace(0.05, 0.2, 200)
+    for fn in (evaluate_solution, ode_residual):
+        first, second = fn(sol, origin, r), fn(sol, origin, r)
+        assert np.array_equal(first, second)
+
+
+def test_coefficients_cannot_change_behind_the_arrays():
+    coeffs = {0: 1.0, 1: -1j, 2: 13.0 / 16.0}
+    sol = SeriesSolution(omega=1.5, coefficients=coeffs, config=desk_config(s_max=10),
+                         normalization_index=0)
+    origin = origin_params(sol.config.pot)
+    before = evaluate_solution(sol, origin, 0.3)
+    with pytest.raises(TypeError):
+        sol.coefficients[1] = 5.0
+    coeffs[1] = 5.0  # the solution holds its own copy
+    assert sol.coefficients[1] == -1j
+    assert evaluate_solution(sol, origin, 0.3) == before
+    for twin in (pickle.loads(pickle.dumps(sol)), copy.deepcopy(sol)):
+        assert twin == sol and evaluate_solution(twin, origin, 0.3) == before
 
 
 def test_scalar_and_shaped_radii():
@@ -422,6 +449,25 @@ class TestOdeResidual:
                          for n in (10, 20, 40)]
             assert residuals[1] <= 10.0 * residuals[0] + 1e-250
             assert residuals[2] <= 10.0 * residuals[1] + 1e-250
+
+    @pytest.mark.parametrize("beta, lam, eps", [(4.0, 0.5, 1), (4.0, 1.5, -1), (6.0, 0.0, -1),
+                                                (6.0, 1.0, 1), (8.0, 1.5, 1)])
+    def test_matches_the_three_power_formula(self, beta, lam, eps):
+        # r^(-delta-1), r^(-delta-2) and r^-beta come from r^-delta and 1/r;
+        # the same residual with each taken as its own power
+        sol = build_series(desk_config(beta=beta, lam=lam, eps=eps, s_max=40))
+        origin = origin_params(sol.config.pot)
+        r = np.geomspace(0.05, 0.2, 4000)
+        _, _, envelope, (s0, s1, s2) = series._series_values(sol, origin, r, 2)
+        cfg, gamma, delta = sol.config, origin.gamma, origin.delta
+        g1 = gamma * delta * r ** (-delta - 1.0) + 1j * eps * math.sqrt(cfg.kappa)
+        g2 = -gamma * delta * (delta + 1.0) * r ** (-delta - 2.0)
+        y = envelope * s0
+        ypp = envelope * (s2 + 2.0 * g1 * s1 + (g2 + g1 * g1) * s0)
+        f = cfg.kappa - cfg.pot.alpha * r ** (-beta) - (lam**2 - 0.25) / r**2
+        scale = np.maximum(np.abs(ypp), np.abs(f * y))  # 0 where y underflows
+        want = np.abs(ypp + f * y) / np.where(scale > 0.0, scale, 1.0)
+        np.testing.assert_allclose(ode_residual(sol, origin, r), want, rtol=0.0, atol=1e-14)
 
     def test_asymptotic_divergence_outside_validity_region(self):
         # the coefficients grow factorially: far from the origin the
