@@ -70,10 +70,21 @@ class RadialGrid:
 
     def nodes(self) -> np.ndarray:
         if self.spacing is Spacing.UNIFORM:
-            return np.linspace(self.r_min, self.r_max, self.n_points)
-        r = np.exp(np.linspace(math.log(self.r_min), math.log(self.r_max), self.n_points))
+            return _equally_spaced(self.r_min, self.r_max, self.n_points)
+        r = np.exp(_equally_spaced(math.log(self.r_min), math.log(self.r_max), self.n_points))
         r[0], r[-1] = self.r_min, self.r_max
         return r
+
+
+def _equally_spaced(start: float, stop: float, n: int) -> np.ndarray:
+    """np.linspace(start, stop, n), bit for bit, for n >= 2 and a step that
+    does not underflow to 0, without its fixed cost: start + step * k with
+    the last node set to stop."""
+    x = np.arange(n, dtype=float)
+    x *= (stop - start) / (n - 1)
+    x += start
+    x[-1] = stop
+    return x
 
 
 @dataclass(frozen=True)
@@ -100,8 +111,9 @@ class ShootingResult:
 
 def _f_values(terms: PotentialTerms, kappa: float, lam: float,
               r: np.ndarray) -> np.ndarray:
-    """f(r) = V(r) + (lam^2 - 1/4)/r^2 - kappa at the nodes r."""
-    return evaluate_terms(terms, r) + (lam * lam - 0.25) / r**2 - kappa
+    """f(r) = V(r) + (lam^2 - 1/4)/r^2 - kappa at the nodes r, in one
+    evaluate_terms call."""
+    return evaluate_terms((*terms, (lam * lam - 0.25, 2.0), (-kappa, 0.0)), r)
 
 
 def _sweep_variables(spacing: Spacing, r: np.ndarray
@@ -173,12 +185,15 @@ def _numerov(sweeps, raise_on_overflow: bool) -> Tuple[List[np.ndarray], int]:
             raise DomainError(f"grid too coarse: 1 - h^2 g / 12 reaches {b_min:.3g}")
         p, q = padded[:, slot: slot + len(x) - 2]
         np.divide(b[:-2], b[2:], p)
-        np.divide(hg[:-2] + 10.0 * hg[1:-1] + hg[2:], b[2:], q)
+        np.multiply(hg[1:-1], 10.0, q)
+        q += hg[:-2]
+        q += hg[2:]
+        q /= b[2:]
         slot += count * steps
     # pq[:, j] holds step j of every block, once for each fundamental solution
-    pq = np.empty((2, steps, 2 * blocks))
-    pq[:, :, :blocks] = padded.reshape(2, blocks, steps).transpose(0, 2, 1)
-    pq[:, :, blocks:] = pq[:, :, :blocks]
+    pq = np.empty((2, steps, 2, blocks))
+    pq[...] = padded.reshape(2, blocks, 1, steps).transpose(0, 3, 2, 1)
+    pq = pq.reshape(2, steps, 2 * blocks)
 
     # u[j] holds, after j steps, the fundamental solutions that start each
     # block from (u, d) = (1, 0) in its first half and from (0, 1) in its second
@@ -193,10 +208,11 @@ def _numerov(sweeps, raise_on_overflow: bool) -> Tuple[List[np.ndarray], int]:
         np.add(d, qu, d)
         np.add(u_j, d, u_next)
 
-    transfer = zip(*(t.tolist() for t in (u[steps, :blocks], u[steps, blocks:],
-                                         d[:blocks], d[blocks:])))
+    end_u, end_d = u[steps].tolist(), d.tolist()
+    transfer = zip(end_u[:blocks], end_u[blocks:], end_d[:blocks], end_d[blocks:])
     rescale_above = math.inf if raise_on_overflow else _OVERFLOW_LIMIT
     start_u, start_d, rescaled, rescales = [], [], [], []
+    append_u, append_d = start_u.append, start_d.append
     for (_, _, u0, u1), count in zip(sweeps, counts):
         first = len(start_u)
         su, sd, r = float(u1), float(u1) - float(u0), 0
@@ -204,15 +220,16 @@ def _numerov(sweeps, raise_on_overflow: bool) -> Tuple[List[np.ndarray], int]:
             if abs(su) > rescale_above:
                 su, sd, r = su / _OVERFLOW_LIMIT, sd / _OVERFLOW_LIMIT, r + 1
                 rescaled.append((first, len(start_u)))
-            start_u.append(su)
-            start_d.append(sd)
+            append_u(su)
+            append_d(sd)
             su, sd = t00 * su + t01 * sd, t10 * su + t11 * sd
         rescales.append(r)
-    values = u[:steps, :blocks] * start_u
-    values += u[:steps, blocks:] * start_d
+    # values[k] holds the nodes of block k, so that the rows are in sweep order
+    weighted = u[:steps].T * np.array(start_u + start_d, dtype=float)[:, None]
+    values = np.add(weighted[:blocks], weighted[blocks:], out=np.empty((blocks, steps)))
     for first, block in rescaled:
-        values[:, first:block] /= _OVERFLOW_LIMIT
-    values = values.T.ravel()
+        values[first:block] /= _OVERFLOW_LIMIT
+    values = values.ravel()
 
     limit = _OVERFLOW_LIMIT if raise_on_overflow else sys.float_info.max
     solutions = []
@@ -222,8 +239,9 @@ def _numerov(sweeps, raise_on_overflow: bool) -> Tuple[List[np.ndarray], int]:
         sol[0], sol[1:] = u0 * _OVERFLOW_LIMIT ** -r, values[slot: slot + len(x) - 1]
         slot += count * steps
         # the seeds are not checked
-        if not np.max(np.abs(sol[2:])) <= limit:
-            i = 2 + int(np.argmin(np.abs(sol[2:]) <= limit))
+        tail = sol[2:]
+        if not (tail.max() <= limit and -limit <= tail.min()):
+            i = 2 + int(np.argmin(np.abs(tail) <= limit))
             if not math.isfinite(sol[i]):
                 i -= 1
             raise IntegrationDiverged("integration overflowed", i, float(x[i]))
@@ -244,19 +262,26 @@ def integrate_radial(terms: PotentialTerms, kappa: float, lam: float,
     y0, y1 = seeds
     if not (math.isfinite(y0) and math.isfinite(y1)) or (y0 == 0.0 and y1 == 0.0):
         raise DomainError("seeds must be finite and not both zero")
+    require_finite(kappa=kappa, lam=lam)
     r = grid.nodes()
-    x, w, scale, c = _sweep_variables(grid.spacing, r)
-    g = w * _f_values(terms, kappa, lam, r) + c
     sweep = slice(None, None, -1 if direction is Direction.INWARD else 1)
+    g = _f_values(terms, kappa, lam, r)
+    if grid.spacing is Spacing.UNIFORM:
+        x, scale = r, None
+    else:
+        x, w, scale, c = _sweep_variables(grid.spacing, r)
+        g *= w
+        g += c
+        y0, y1 = y0 / scale[sweep][0], y1 / scale[sweep][1]
     try:
-        (u,), _ = _numerov([(x[sweep], g[sweep], y0 / scale[sweep][0],
-                             y1 / scale[sweep][1])], raise_on_overflow=True)
+        (u,), _ = _numerov([(x[sweep], g[sweep], y0, y1)], raise_on_overflow=True)
     except IntegrationDiverged as exc:
         i = range(len(r))[sweep][exc.last_index]
         raise IntegrationDiverged(str(exc), i, float(r[i])) from None
     # sweep is the identity or a reversal, so slicing by it again restores
     # the order of grid.nodes()
-    return scale * u[sweep]
+    u = u[sweep]
+    return u if scale is None else scale * u
 
 
 def finite_difference_residual(r: np.ndarray, y: np.ndarray,
@@ -332,6 +357,8 @@ def shoot_ground_energy(terms: PotentialTerms, bracket: Tuple[float, float],
     grid must reach far enough out that exp(-sqrt(-E) r_max) is negligible.
     """
     require_finite(tolerance=tolerance)
+    if tolerance <= 0.0:
+        raise DomainError("tolerance must be positive")
     e_lo, e_hi = bracket
     if not (e_lo < e_hi < 0.0):
         raise DomainError("bracket must satisfy E_lo < E_hi < 0")

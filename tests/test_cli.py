@@ -175,6 +175,17 @@ def test_verify_ground_fail_exit_code(capsys):
     assert "bracket" in err.lower()
 
 
+@pytest.mark.parametrize("tolerance", ["0", "-1"])
+def test_verify_ground_rejects_a_tolerance_that_cannot_pass(capsys, tolerance):
+    # |match_defect| <= tolerance never holds, so the shoot would run to the
+    # root and still report fail
+    code, out, err = run(capsys, "verify", "--target", "ground", "--A", "1", "--B", "0",
+                         "--D", "-1", "--tolerance", tolerance)
+    assert code == 1
+    assert out == ""
+    assert err == "error: tolerance must be positive\n"
+
+
 def test_verify_series_pass(capsys):
     payload = run_json(capsys, "verify", "--target", "series", "--alpha", "1",
                        "--beta", "6", "--kappa", "1", "--lambda", "0.5",

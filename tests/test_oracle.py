@@ -7,7 +7,8 @@ import pytest
 from invpower import oracle
 from invpower import (BracketError, Direction, DomainError,
                       IntegrationDiverged, RadialGrid, Spacing,
-                      evaluate_ground_state, finite_difference_residual,
+                      evaluate_ground_state, evaluate_terms,
+                      finite_difference_residual,
                       integrate_radial, shoot_ground_energy,
                       solve_ground_state)
 from invpower.cli import main
@@ -25,6 +26,19 @@ class TestGrid:
     def test_nodes_log(self):
         r = RadialGrid(0.1, 10.0, 100, Spacing.LOG).nodes()
         assert np.allclose(np.diff(np.log(r)), np.log(r[1] / r[0]))
+
+    def test_nodes_are_linspace_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20_000):
+            r_min = 10.0 ** rng.uniform(-3.0, 1.0)
+            r_max = r_min + 10.0 ** rng.uniform(-3.0, 2.0)
+            n = int(rng.integers(16, 400))
+            assert np.array_equal(RadialGrid(r_min, r_max, n).nodes(),
+                                  np.linspace(r_min, r_max, n))
+            if n % 10 == 0:
+                r = np.exp(np.linspace(math.log(r_min), math.log(r_max), n))
+                r[0], r[-1] = r_min, r_max
+                assert np.array_equal(RadialGrid(r_min, r_max, n, Spacing.LOG).nodes(), r)
 
     @pytest.mark.parametrize("bad", [
         dict(r_min=0.0, r_max=1.0, n_points=32),
@@ -416,3 +430,95 @@ class TestNewtonShooting:
         assert code == 0
         assert payload["evaluations"] <= 8
         assert 0 <= payload["newton_steps"] <= payload["iterations"]
+
+
+def terms_reference(terms, r):
+    """The sum of strength * r**(-power) at r, with one pow per term."""
+    r = np.asarray(r, dtype=float)
+    total = np.zeros_like(r)
+    for strength, power in terms:
+        total = total + strength * r ** (-power)
+    return total if total.ndim else float(total)
+
+
+def _drawn_terms(seed):
+    # integer powers on either side of the Horner range, a non-integer and a
+    # negative one; with up to 8 draws from 12 powers, most sets repeat one
+    powers = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 10.0, 7.3, -2.0)
+    rng = np.random.default_rng(seed)
+    return tuple((float(rng.uniform(-3.0, 3.0)), float(rng.choice(powers)))
+                 for _ in range(rng.integers(1, 9)))
+
+
+TERM_SETS = {
+    "empty": (),
+    "repeated": ((1.0, 4.0), (-0.5, 4.0), (2.0, 0.0), (2.0, 0.0), (0.3, 7.3),
+                 (0.3, 7.3), (1.0, 10.0), (-1.0, 10.0)),
+    "cancelling": ((1.0, 2.0), (-1.0, 2.0), (0.5, 8.0)),
+    **{f"seed{seed}": _drawn_terms(seed) for seed in range(24)},
+}
+
+
+@pytest.mark.parametrize("terms", TERM_SETS.values(), ids=TERM_SETS.keys())
+def test_evaluate_terms_matches_one_pow_per_term(terms):
+    # Horner's rule rounds differently from a sum of pows; the terms cancel
+    # near a turning point, so the bound is set by the scale of the terms
+    rng = np.random.default_rng(len(terms))
+    r = np.exp(rng.uniform(math.log(0.05), math.log(20.0), (4, 60)))
+    got = evaluate_terms(terms, r)
+    assert got.shape == r.shape
+    scale = terms_reference([(abs(s), p) for s, p in terms], r)
+    err = np.abs(got - terms_reference(terms, r))
+    assert np.all(err <= 8.0 * np.finfo(float).eps * scale)
+    # a scalar takes the same steps as each element of an array
+    for ri, want in zip(r.flat[:7], got.flat[:7]):
+        value = evaluate_terms(terms, float(ri))
+        assert type(value) is float and value == want
+
+
+def _integrate_sweeps(A, B, D):
+    """The four sweeps of an integrate benchmark case: outward and inward,
+    on a uniform grid of 2 000 nodes and a log grid of 150, seeded from the
+    closed-form state."""
+    sol = solve_ground_state(A, B, D)
+    terms = ((A, 4.0), (B, 3.0), (sol.required_C, 2.0), (D, 1.0))
+    a, b, c = sol.a, sol.linear_slope_b, sol.c
+    peak = (c + math.sqrt(c * c + 4.0 * b * a)) / (-2.0 * b)
+    spans = {Direction.OUTWARD: (-a / 8.0, 2.0 * peak),
+             Direction.INWARD: (0.5 * peak, peak - 14.0 / b)}
+    sweeps = []
+    for spacing, n in ((Spacing.UNIFORM, 2_000), (Spacing.LOG, 150)):
+        for direction, span in spans.items():
+            grid = RadialGrid(*span, n, spacing)
+            y = evaluate_ground_state(sol, grid.nodes())
+            first = (0, 1) if direction is Direction.OUTWARD else (-1, -2)
+            sweeps.append(integrate_radial(terms, sol.energy, 0.0, grid, direction,
+                                           (y[first[0]], y[first[1]])))
+    return sweeps
+
+
+@pytest.mark.parametrize("A,B,D", [(1.0, 2.0, -4.0), (1.7, 0.4, -2.2),
+                                   (1.2, 1.5, -3.0), (1.95, 1.1, -1.3)])
+def test_integrate_radial_agrees_with_one_pow_per_term(A, B, D, monkeypatch):
+    horner = _integrate_sweeps(A, B, D)
+    monkeypatch.setattr(oracle, "evaluate_terms", terms_reference)
+    for y, want in zip(horner, _integrate_sweeps(A, B, D)):
+        assert np.max(np.abs(y - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("A,B,D", [(1.0, 2.0, -4.0), (1.0, 0.0, -1.0),
+                                   (4.0, 0.0, -2.0), (1.0, 0.0, -0.6),
+                                   (2.0, 1.0, -3.0)])
+def test_shoot_agrees_with_one_pow_per_term(A, B, D, monkeypatch):
+    # the default bracket and log grid of invpower verify, with a tolerance
+    # that takes both shoots to the root of the discrete defect
+    sol = solve_ground_state(A, B, D)
+    terms = ((A, 4.0), (B, 3.0), (sol.required_C, 2.0), (D, 1.0))
+    bracket = (2.0 * sol.energy, 0.5 * sol.energy)
+    grid = RadialGrid(0.08, max(14.0, 35.0 / math.sqrt(-bracket[1])), 2_000, Spacing.LOG)
+    horner = shoot_ground_energy(terms, bracket, grid, tolerance=1e-13)
+    monkeypatch.setattr(oracle, "evaluate_terms", terms_reference)
+    per_term = shoot_ground_energy(terms, bracket, grid, tolerance=1e-13)
+    assert horner.converged and per_term.converged
+    assert horner.energy == pytest.approx(per_term.energy, rel=1e-12, abs=0.0)
+    assert horner.evaluations == per_term.evaluations

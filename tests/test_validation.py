@@ -1,14 +1,17 @@
-"""Input validation shared across modules: radii and integer counts."""
+"""Input validation shared across modules: radii, potential terms, integer
+counts and the oracle's parameters."""
 
 import math
 
 import numpy as np
 import pytest
 
-from invpower import (DomainError, PotentialMonomial, RadialGrid, SeriesConfig,
-                      build_series, evaluate_ground_state, evaluate_solution,
-                      evaluate_terms, ground_state_residual, ode_residual,
-                      origin_params, solve_ground_state, to_full_wavefunction)
+from invpower import (Direction, DomainError, PotentialMonomial, RadialGrid,
+                      SeriesConfig, Spacing, build_series, evaluate_ground_state,
+                      evaluate_solution, evaluate_terms, ground_state_residual,
+                      integrate_radial, ode_residual, origin_params,
+                      shoot_ground_energy, solve_ground_state,
+                      to_full_wavefunction)
 
 _SERIES = build_series(SeriesConfig(pot=PotentialMonomial(1.0, 6.0), kappa=1.0,
                                     lam=0.5, epsilon=1, s_max=10))
@@ -48,3 +51,34 @@ def test_counts_must_be_integers():
     config = SeriesConfig(pot=pot, kappa=1.0, lam=0.5, epsilon=1,
                           s_min=np.int64(-2), s_max=np.int64(20))
     assert len(build_series(config).coefficients) == 23
+
+
+@pytest.mark.parametrize("terms", [((math.nan, 4.0),), ((1.0, math.inf),),
+                                   ((1.0, 4.0), (-math.inf, 2.0)), ((1.0, math.nan),)],
+                         ids=["strength-nan", "power-inf", "second-strength-inf",
+                              "power-nan"])
+def test_evaluate_terms_rejects_non_finite_terms(terms):
+    # a NaN strength would give NaN everywhere, and an infinite power 1 at
+    # r = 1 and 0 elsewhere
+    with pytest.raises(DomainError, match="terms must be finite"):
+        evaluate_terms(terms, np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("spacing", list(Spacing))
+@pytest.mark.parametrize("kappa, lam, name", [(math.nan, 0.5, "kappa"), (1.0, math.inf, "lam"),
+                                              (-math.inf, 0.5, "kappa"), (1.0, math.nan, "lam")])
+def test_integrate_radial_rejects_non_finite_kappa_and_lam(kappa, lam, name, spacing):
+    # without the check, kappa = NaN overflows the sweep and lam = inf makes
+    # the grid look too coarse
+    grid = RadialGrid(0.1, 1.0, 100, spacing)
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        integrate_radial(((1.0, 4.0),), kappa, lam, grid, Direction.OUTWARD, (1.0, 1.1))
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
+def test_shoot_rejects_a_tolerance_it_cannot_meet_or_check(tolerance):
+    # |defect| <= tolerance never holds for a tolerance <= 0
+    terms = ((1.0, 4.0), (2.0, 3.0), (0.25, 2.0), (-4.0, 1.0))
+    grid = RadialGrid(0.08, 50.0, 2_000, Spacing.LOG)
+    with pytest.raises(DomainError, match="tolerance"):
+        shoot_ground_energy(terms, (-2.0, -0.5), grid, tolerance=tolerance)
