@@ -7,12 +7,10 @@ go to stdout or files; diagnostics go to stderr.  Exit codes: 0 success,
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import json
 import math
-import re
 import sys
 from collections import namedtuple
 from typing import Optional, Sequence
@@ -78,40 +76,33 @@ def _load_config(path: Optional[str]) -> dict:
     return values
 
 
-def _merged(args: argparse.Namespace, key: str, default=None):
+def _merged(args: dict, key: str, default=None):
     """Explicit flags win over config-file values, which win over defaults.
 
-    A config value counts only for a subcommand that has the flag; it goes
+    A config value counts only for a command that has the flag; it goes
     through the flag's own type and choices.
     """
-    if not hasattr(args, key):
+    if key not in args:
         return default
-    value = getattr(args, key)
-    if value is not None:
-        return value
-    flag = _FLAGS[key]
-    name = _config_key(flag.option)
-    if name not in args._config:
+    if args[key] is not None:
+        return args[key]
+    name = _config_key(_FLAGS[key].option)
+    if name not in args["_config"]:
         return default
-    raw = args._config[name]
     try:
-        value = flag.type(raw)
-    except ValueError:
-        raise ConfigurationError(f"config key '{name}': invalid value {raw!r}") from None
-    if flag.choices is not None and value not in flag.choices:
-        raise ConfigurationError(
-            f"config key '{name}': {raw!r} is not one of {list(flag.choices)}")
-    return value
+        return _convert(_FLAGS[key], args["_config"][name])
+    except ValueError as exc:
+        raise ConfigurationError(f"config key '{name}': {exc}") from None
 
 
-def _require(args: argparse.Namespace, key: str):
+def _require(args: dict, key: str):
     value = _merged(args, key)
     if value is None:
         raise DomainError(f"missing required parameter '{key}'")
     return value
 
 
-def _grid_from(args: argparse.Namespace, r_min: float, r_max: float, n: int,
+def _grid_from(args: dict, r_min: float, r_max: float, n: int,
                spacing: Spacing = Spacing.UNIFORM) -> RadialGrid:
     return RadialGrid(
         r_min=_merged(args, "r_min", r_min),
@@ -121,7 +112,7 @@ def _grid_from(args: argparse.Namespace, r_min: float, r_max: float, n: int,
     )
 
 
-def _series_config(args: argparse.Namespace) -> SeriesConfig:
+def _series_config(args: dict) -> SeriesConfig:
     return SeriesConfig(
         pot=PotentialMonomial(alpha=_require(args, "alpha"), beta=_require(args, "beta")),
         kappa=_require(args, "kappa"),
@@ -141,7 +132,7 @@ def _cmd_reduce(args) -> int:
         angular_momentum=_require(args, "angular_momentum"),
         energy=_require(args, "energy"),
     )
-    reduced = reduce_problem(setup, args.term or ())
+    reduced = reduce_problem(setup, args["term"] or ())
     payload = {"kappa": reduced.kappa, "lambda": reduced.lam}
     for i, (s, p) in enumerate(reduced.terms):
         payload[f"term_{i}_strength"] = s
@@ -171,13 +162,13 @@ def _cmd_series(args) -> int:
     r = _grid_from(args, r_min=0.05, r_max=0.2, n=200).nodes()
     res = ode_residual(sol, origin, r)
     tables = []
-    if args.coeff_out:
+    if args["coeff_out"]:
         rows = [(float(s), sol.coefficients[s].real, sol.coefficients[s].imag)
                 for s in sorted(sol.coefficients)]
-        tables.append((args.coeff_out, ["s", "re_a", "im_a"], rows))
-    if args.wave_out:
+        tables.append((args["coeff_out"], ["s", "re_a", "im_a"], rows))
+    if args["wave_out"]:
         y = evaluate_solution(sol, origin, r)
-        tables.append((args.wave_out, ["r", "re_y", "im_y", "residual"],
+        tables.append((args["wave_out"], ["r", "re_y", "im_y", "residual"],
                        zip(r, y.real, y.imag, res)))
     # np.max propagates NaN, so a non-finite residual anywhere stops _emit
     # before either table is written
@@ -212,9 +203,9 @@ def _cmd_ground(args) -> int:
         payload["C"] = user_c
         payload["C_mismatch"] = user_c - sol.required_C
     tables = []
-    if args.wave_out:
+    if args["wave_out"]:
         r = _grid_from(args, r_min=0.05, r_max=10.0, n=400).nodes()
-        tables.append((args.wave_out, ["r", "y"], zip(r, evaluate_ground_state(sol, r))))
+        tables.append((args["wave_out"], ["r", "y"], zip(r, evaluate_ground_state(sol, r))))
     _emit(payload, tables)
     return 0
 
@@ -298,20 +289,6 @@ def _verify_series(args) -> int:
     return 0
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors exit 1, like other input errors: argparse's own code 2
-    means a verification failure here.  A negative number in exponent form
-    is a value, not an option.  Subparsers inherit the class."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 # every flag once, keyed by dest
 _Flag = namedtuple("_Flag", "option type choices help", defaults=(None, None))
 _FLAGS = {
@@ -346,6 +323,7 @@ _FLAGS = {
 }
 
 _GRID = ("r_min", "r_max", "n_points")
+_DESCRIPTION = "Radial Schrodinger toolkit for repulsive inverse-power potentials"
 # name: (handler, help, flags besides --config)
 _COMMANDS = {
     "reduce": (_cmd_reduce, "map a physical setup to reduced units",
@@ -362,47 +340,173 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser; its ``commands`` maps each command name to
-    that command's own parser."""
-    parser = _ArgumentParser(
-        prog="invpower",
-        description="Radial Schrodinger toolkit for repulsive inverse-power potentials")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices
-    for name, (func, help_, dests) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_)
-        p.set_defaults(func=func)
-        for dest in ("config",) + dests:
-            flag = _FLAGS[dest]
-            extra = {} if dest != "term" else dict(
-                nargs=2, action="append", metavar=("STRENGTH", "POWER"))
-            p.add_argument(flag.option, dest=dest, type=flag.type, choices=flag.choices,
-                           help=flag.help, **extra)
-    return parser
+def _convert(flag: _Flag, raw: str):
+    """``raw`` as the flag's type, within its choices; a ValueError says
+    what is wrong in argparse's words."""
+    try:
+        value = flag.type(raw)
+    except ValueError:
+        raise ValueError(f"invalid {flag.type.__name__} value: {raw!r}") from None
+    if flag.choices is not None and value not in flag.choices:
+        raise ValueError(f"invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, flag.choices))})")
+    return value
+
+
+def _invocation(dest: str) -> str:
+    """A flag as usage and help show it: the option and its metavar."""
+    flag = _FLAGS[dest]
+    if dest == "term":
+        return "--term STRENGTH POWER"
+    if flag.choices is None:
+        return f"{flag.option} {dest.upper()}"
+    return f"{flag.option} {{{','.join(map(str, flag.choices))}}}"
+
+
+def _usage(command: Optional[str]) -> str:
+    """The usage line, wrapped at 78 columns as argparse wraps it."""
+    head = "usage: invpower" if command is None else f"usage: invpower {command}"
+    parts = (["[--version]", "{%s} ..." % ",".join(_COMMANDS)] if command is None else
+             [f"[{_invocation(d)}]" for d in ("config",) + _COMMANDS[command][2]])
+    lines = [head + " [-h]"]
+    for part in parts:
+        if len(lines[-1]) + 1 + len(part) > 78:
+            lines.append(" " * len(head))
+        lines[-1] += " " + part
+    return "\n".join(lines)
+
+
+def _help(command: Optional[str]) -> str:
+    """Usage, then each command or option with its help, in argparse's
+    layout: the help column is at most 24 characters in."""
+    options = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        sections = {"positional arguments:": [("{%s}" % ",".join(_COMMANDS), None)] + [
+            (f"  {name}", text) for name, (_, text, _) in _COMMANDS.items()],
+            "options:": options + [("--version", "show program's version number and exit")]}
+    else:
+        sections = {"options:": options + [(_invocation(d), _FLAGS[d].help)
+                                           for d in ("config",) + _COMMANDS[command][2]]}
+    column = min(24, 4 + max(len(name) for rows in sections.values() for name, _ in rows))
+    blocks = [_usage(command)] + ([_DESCRIPTION] if command is None else [])
+    for title, rows in sections.items():
+        lines = [title]
+        for name, text in rows:
+            if text is None:
+                lines.append(f"  {name}")
+            elif len(name) + 4 <= column:
+                lines.append(f"  {name:<{column - 4}}  {text}")
+            else:
+                lines += [f"  {name}", " " * column + text]
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks)
+
+
+def _stop(command: Optional[str], message: Optional[str] = None, argv=()):
+    """Help (no message, exit 0) or a usage error (exit 1).  argparse reads
+    every option of ``argv`` before it acts on any, so an ambiguous option
+    is reported first."""
+    for token in argv[1:]:
+        _match(_parser()[command], token, command)
+    if message is None:
+        print(_help(command))
+        raise SystemExit(0)
+    prog = "invpower" if command is None else f"invpower {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(1)
+
+
+def _match(options: dict, token: str, command: Optional[str]) -> Optional[str]:
+    """The option that ``token`` names before any '=', in full or, for a
+    '--' token, by a unique prefix; None if none, as for '--' alone.  An
+    ambiguous prefix is a usage error."""
+    option = token.partition("=")[0]
+    if option in options or not token.startswith("--") or option == "--":
+        return option if option in options else None
+    matches = [name for name in options if name.startswith(option)]
+    if len(matches) > 1:
+        _stop(command, f"ambiguous option: {token} could match {', '.join(matches)}")
+    return matches[0] if matches else None
+
+
+def build_parser() -> dict:
+    """Each command's option table, option string to dest, in help order:
+    -h and --help (dest None), --config, then the command's flags.  The
+    top level's, under None, holds -h, --help and --version."""
+    return {None: dict.fromkeys(("-h", "--help", "--version")),
+            **{name: {"-h": None, "--help": None,
+                      **{_FLAGS[d].option: d for d in ("config",) + dests}}
+               for name, (_, _, dests) in _COMMANDS.items()}}
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call rather than at import; parsing
-    leaves it as it was, so every later call reuses it."""
+def _parser() -> dict:
+    """The option tables, built on the first call rather than at import."""
     return build_parser()
+
+
+def _parse(argv: Sequence[str]) -> dict:
+    """Each dest of the command that ``argv`` starts with, None if the call
+    leaves it out.  Each option takes its value from '=value' or the next
+    token (--term: two, appended); a token that starts with '--' is never a
+    value.  Help, the version and usage errors exit here."""
+    if not argv or argv[0] not in _COMMANDS:  # help, the version or an error
+        option = _match(_parser()[None], argv[0], None) if argv else None
+        if option == "--version":
+            print(__version__)
+            raise SystemExit(0)
+        if option is None and argv and not argv[0].startswith("-"):
+            _stop(None, f"argument command: invalid choice: {argv[0]!r} "
+                        f"(choose from {', '.join(map(repr, _COMMANDS))})")
+        _stop(None, None if option else "the following arguments are required: command")
+    command, options = argv[0], _parser()[argv[0]]
+    args = dict.fromkeys(("config",) + _COMMANDS[command][2])
+    extras, i = [], 1
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        option, eq, raw = token.partition("=")
+        if option not in options:
+            option = _match(options, token, command)
+            if option is None:
+                extras.append(token)
+                continue
+        dest = options[option]
+        if dest is None:
+            _stop(command, f"argument -h/--help: ignored explicit argument {raw!r}"
+                  if eq else None, argv)
+        flag, count = _FLAGS[dest], 2 if dest == "term" else 1
+        if eq:
+            values = [raw]
+        else:
+            values, i = argv[i:i + count], i + count
+            # an option is never a value; count is 1 or 2, so the first and
+            # the last are every value
+            if values and (values[0].startswith("--") or values[-1].startswith("--")):
+                values = []
+        try:
+            if len(values) < count:
+                raise ValueError("expected one argument" if count == 1 else
+                                 f"expected {count} arguments")
+            if count == 1:
+                args[dest] = _convert(flag, values[0])
+            else:
+                args[dest] = (args[dest] or []) + [[_convert(flag, v) for v in values]]
+        except ValueError as exc:
+            _stop(command, f"argument {flag.option}: {exc}", argv)
+    if extras:
+        _stop(command, "unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _parser()
-    # a call that names a command is parsed once, by that command's parser;
-    # the top-level parser takes the rest: no command, --help, --version or
-    # an unknown name
-    command = parser.commands.get(argv[0]) if argv else None
-    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+    args = _parse(argv)
     try:
-        args._config = _load_config(args.config)
+        args["_config"] = _load_config(args["config"])
         # overflow is reported by the validators and _emit, not as warnings
         with np.errstate(all="ignore"):
-            return args.func(args)
+            return _COMMANDS[argv[0]][0](args)
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

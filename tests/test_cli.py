@@ -10,7 +10,7 @@ import invpower
 from invpower import series
 from invpower import (PotentialMonomial, SeriesConfig, SeriesSolution,
                       build_series, evaluate_solution, origin_params, ode_residual)
-from invpower.cli import main
+from invpower.cli import _COMMANDS, _FLAGS, main
 
 
 def run(capsys, *argv):
@@ -299,6 +299,12 @@ SERIES_ARGS = ("series", "--alpha", "1", "--beta", "6", "--kappa", "1")
     pytest.param(("ground", "--A", "1", "--B", "2", "--D", "-1e308"),
                  id="ground-D-overflow-separate-value"),
     pytest.param(("ground", "--A", "1", "--B", "1e308", "--D", "-4"), id="ground-B-overflow"),
+    # a token that does not start with '--' is a value, so -inf and -nan
+    # reach require_finite in both forms, not the parser's usage error
+    pytest.param(("ground", "--A", "1", "--D", "-inf"), id="ground-D-minus-inf"),
+    pytest.param(("ground", "--A", "1", "--D=-inf"), id="ground-D-minus-inf-joined"),
+    pytest.param(("ground", "--A", "1", "--D", "-nan"), id="ground-D-minus-nan"),
+    pytest.param(("ground", "--A", "1", "--D=-nan"), id="ground-D-minus-nan-joined"),
     # the residual overflows: only the final non-finite output check sees it
     pytest.param(("series", "--alpha", "1e308", "--beta", "6", "--kappa", "1"),
                  id="series-alpha-overflow"),
@@ -464,3 +470,58 @@ class TestParserReuse:
         assert info.value.code == 1
         capsys.readouterr()
         assert run_json(capsys, "ground", "--A", "1", "--B", "2", "--D", "-4")["E"] == -1.0
+
+
+class TestGrammar:
+    """The edges of the flag grammar, which the table parser reads as
+    argparse did."""
+
+    def usage_error(self, capsys, *argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"usage: invpower {argv[0]}")
+        return err.splitlines()[-1]
+
+    def test_unique_prefix_names_the_option(self, capsys):
+        assert run_json(capsys, "asym", "--al", "1", "--beta", "6") == \
+            run_json(capsys, "asym", "--alpha", "1", "--beta", "6")
+        assert run_json(capsys, "asym", "--al=1", "--be", "6") == \
+            run_json(capsys, "asym", "--alpha", "1", "--beta", "6")
+
+    def test_ambiguous_prefix_is_a_usage_error(self, capsys):
+        assert self.usage_error(capsys, "verify", "--e", "1") == (
+            "invpower verify: error: ambiguous option: --e could match --epsilon, --e-lo, --e-hi")
+
+    @pytest.mark.parametrize("term", [("--term=1", "2"), ("--term", "1")])
+    def test_term_takes_two_values(self, capsys, term):
+        argv = ("reduce", "--mass", "1", "--hbar", "1", "--dimension", "3",
+                "--angular-momentum", "0", "--energy", "1") + term
+        assert self.usage_error(capsys, *argv) == (
+            "invpower reduce: error: argument --term: expected 2 arguments")
+
+    def test_option_is_not_a_value(self, capsys):
+        assert self.usage_error(capsys, "ground", "--A", "1", "--D", "--B", "2") == (
+            "invpower ground: error: argument --D: expected one argument")
+
+    def test_repeated_flag_last_wins(self, capsys):
+        assert run_json(capsys, "asym", "--alpha", "9", "--beta", "6", "--alpha", "1") == \
+            run_json(capsys, "asym", "--alpha", "1", "--beta", "6")
+
+    def test_help_after_other_flags_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["asym", "--alpha", "1", "--bogus", "-h", "--beta", "x"])
+        assert info.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: invpower asym") and err == ""
+
+    def test_help_lists_every_option_with_its_help(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--help"])
+        assert info.value.code == 0
+        lines = capsys.readouterr().out.split("\noptions:\n")[1].splitlines()
+        for dest in ("config",) + _COMMANDS["verify"][2]:
+            flag = _FLAGS[dest]
+            line = next(line for line in lines if line.split()[0] == flag.option)
+            assert flag.help is None or line.endswith(flag.help), line

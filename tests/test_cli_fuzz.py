@@ -1,13 +1,18 @@
 """Property test of the CLI contract: whatever numbers a user passes, every
 call ends in exit 0, 1 or 2, with strict JSON on stdout or an ``error:``
-line on stderr, and no exception other than argparse's exit escapes main.
-Each drawn call is also parsed both ways main could parse it: by its
-command's parser alone, as main does, and by the top-level parser."""
+line on stderr, and no exception other than a usage error's SystemExit
+escapes main.  Each drawn call is also parsed by an argparse reference
+built from the same flag table, which must read it as the CLI's own
+parser does."""
 
+import argparse
 import contextlib
+import functools
 import io
 import json
 import math
+import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from invpower.cli import _COMMANDS, _FLAGS, build_parser, main
+from invpower.cli import _COMMANDS, _FLAGS, _parse, main
 
 # values that overflow or are not numbers at all; as text, the float ones
 # are also malformed integers
@@ -80,25 +85,74 @@ def _reject_constant(token):
     raise ValueError(f"non-finite JSON constant {token}")
 
 
-def _parse(parser, argv):
-    """What ``parser`` makes of ``argv``: the namespace as text (NaN is not
-    equal to itself) without the ``command`` the top level records, or the
-    exit code and stderr."""
+# argparse's reading of a token that starts with '-': an option unless it
+# matches this pattern of a negative number
+ARGPARSE_NEGATIVE = r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
+# The intended differences from argparse.  Only the first can occur in the
+# calls drawn here, and only with the values in NEGATIVE_VALUES:
+# - a token that does not start with '--' is a value, so '--D -inf' is
+#   D = -inf where argparse stops with "expected one argument" (so are '-x',
+#   '-h' and '-1_0' in a value's place);
+# - a token that starts with '--' is never a value, even one with a space;
+# - '--' alone is an unrecognized argument, not the end of the options;
+# - '-h' takes no joined value: '-hx' is an unrecognized argument;
+# - a call that does not start with a command is read from its first token
+#   alone.
+NEGATIVE_VALUES = ("-inf", "-nan")
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    """argparse as the CLI used it: usage errors exit 1, and a token that
+    matches ``negative`` is a value."""
+
+    def __init__(self, *args, negative, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(negative)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
+def reference_parsers(negative=ARGPARSE_NEGATIVE + "|^(" + "|".join(NEGATIVE_VALUES) + ")$"):
+    """One argparse parser per command, built from ``_FLAGS`` and
+    ``_COMMANDS``; by default it also reads the intended differences as
+    values."""
+    parsers = {}
+    for name, (_, _, dests) in _COMMANDS.items():
+        parser = parsers[name] = _ReferenceParser(prog=f"invpower {name}", negative=negative)
+        for dest in ("config",) + dests:
+            flag = _FLAGS[dest]
+            extra = {} if dest != "term" else dict(
+                nargs=2, action="append", metavar=("STRENGTH", "POWER"))
+            parser.add_argument(flag.option, dest=dest, type=flag.type, choices=flag.choices,
+                                help=flag.help, **extra)
+    return parsers
+
+
+def _outcome(parse, argv):
+    """What ``parse`` makes of ``argv``: each dest's value as text (NaN is
+    not equal to itself), or the exit code and the ``error:`` line."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         try:
-            args = vars(parser.parse_args(argv))
+            return repr(parse(argv))
         except SystemExit as exc:
-            return exc.code, err.getvalue()
-    args.pop("command", None)
-    return repr(args)
+            return exc.code, err.getvalue().splitlines()[-1]
+
+
+def _reference_parse(argv, parsers):
+    return vars(parsers[argv[0]].parse_args(argv[1:]))
 
 
 def assert_one_parse(argv):
-    """The command's parser, which main uses, reads ``argv`` as the
-    top-level parser does."""
-    parser = build_parser()
-    assert _parse(parser.commands[argv[0]], argv[1:]) == _parse(parser, argv), argv
+    """The CLI's parser reads ``argv`` as the argparse reference does: the
+    same value for every dest, or exit 1 with the same error line."""
+    expected = _outcome(lambda a: _reference_parse(a, reference_parsers()), argv)
+    assert _outcome(_parse, argv) == expected, argv
+    if isinstance(expected, tuple):
+        assert expected[0] == 1 and ": error: " in expected[1], argv
 
 
 def _call(argv):
@@ -106,7 +160,7 @@ def _call(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse's usage errors
+        except SystemExit as exc:  # usage errors
             code = exc.code
     return code, out.getvalue(), err.getvalue()
 
@@ -154,6 +208,19 @@ def test_cli_contract(command, data):
     ["series", "--alpha", "1", "--beta", "6", "--kappa", "1", "--strategy", "windowed"],
     ["verify", "--target", "bogus"],
     ["ground", "--A", "1", "--D"],
+    ["ground", "--A", "1", "--D", "-inf"],
+    ["reduce", "--term", "-nan", "4"],
 ])
 def test_fixed_calls_parse_once(argv):
     assert_one_parse(argv)
+
+
+@pytest.mark.parametrize("value", NEGATIVE_VALUES)
+def test_negative_non_finite_values_are_the_intended_differences(value):
+    # argparse's own pattern reads them as options, the CLI as values
+    plain = reference_parsers(ARGPARSE_NEGATIVE)
+    for argv, dest, error in ((["ground", "--D", value], "D", "expected one argument"),
+                              (["reduce", "--term", value, "4"], "term", "expected 2 arguments")):
+        code, line = _outcome(lambda a: _reference_parse(a, plain), argv)
+        assert code == 1 and line.endswith(error)
+        assert repr(_parse(argv)[dest]) == repr(_reference_parse(argv, reference_parsers())[dest])
