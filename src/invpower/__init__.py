@@ -16,8 +16,7 @@ from .oracle import (Direction, RadialGrid, ShootingResult, Spacing,
                      finite_difference_residual, integrate_radial,
                      shoot_ground_energy)
 from .potentials import evaluate_terms
-from .reduction import (QuantumSetup, ReducedProblem, reduce_problem,
-                        to_full_wavefunction)
+from .reduction import QuantumSetup, ReducedProblem, reduce_problem
 from .series import (SeriesConfig, SeriesSolution, Strategy, build_series,
                      evaluate_solution, ode_residual, recurrence_residual)
 
@@ -34,5 +33,5 @@ __all__ = [
     "finite_difference_residual", "ground_state_residual",
     "integrate_radial", "ode_residual", "origin_params", "recurrence_residual",
     "reduce_problem", "shoot_ground_energy", "solve_ground_state",
-    "special_p", "to_full_wavefunction",
+    "special_p",
 ]

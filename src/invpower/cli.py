@@ -33,7 +33,7 @@ _USER_ERRORS = (DomainError, ConfigurationError, DegenerateC, NotNormalizable,
                 BracketError, NoConvergence, IntegrationDiverged, OSError)
 
 
-def _emit(payload: dict, tables=()) -> None:
+def _emit(payload: dict, tables) -> None:
     """Print one strict JSON object after writing each (path, header, rows)
     CSV table.  A non-finite field, or a non-finite number in a list field,
     is a DomainError, raised before anything is written."""
@@ -56,12 +56,15 @@ def _config_key(option: str) -> str:
     return option.lstrip("-").replace("-", "_")
 
 
-def _load_config(path: Optional[str]) -> dict:
-    """Flat key = value text; keys are option names without the leading
-    dashes.  A key that is no flag's option name is a ConfigurationError."""
+def _load_config(path: Optional[str], dests) -> dict:
+    """The values of ``dests`` in a flat key = value file, keyed by option
+    name without the leading dashes, each read by its flag's _convert.  Other
+    commands' keys are skipped; an unknown key, --term, --config or a bad
+    value is a ConfigurationError."""
     if path is None:
         return {}
-    known = {_config_key(flag.option) for flag in _FLAGS.values()}
+    keys = {_config_key(flag.option): dest for dest, flag in _FLAGS.items()
+            if dest not in ("config", "term")}
     values = {}
     with open(path) as fh:
         for line in fh:
@@ -70,44 +73,30 @@ def _load_config(path: Optional[str]) -> dict:
                 continue
             key, _, value = line.partition("=")
             key = _config_key(key.strip())
-            if key not in known:
-                raise ConfigurationError(f"config key '{key}': not an option name")
-            values[key] = value.strip()
+            dest = keys.get(key)
+            if dest is None:
+                why = "command line only" if key in ("config", "term") else "not an option name"
+                raise ConfigurationError(f"config key '{key}': {why}")
+            if dest in dests:
+                try:
+                    values[dest] = _convert(_FLAGS[dest], value.strip())
+                except ValueError as exc:
+                    raise ConfigurationError(f"config key '{key}': {exc}") from None
     return values
 
 
-def _merged(args: dict, key: str, default=None):
-    """Explicit flags win over config-file values, which win over defaults.
-
-    A config value counts only for a command that has the flag; it goes
-    through the flag's own type and choices.
-    """
-    if key not in args:
-        return default
-    if args[key] is not None:
-        return args[key]
-    name = _config_key(_FLAGS[key].option)
-    if name not in args["_config"]:
-        return default
-    try:
-        return _convert(_FLAGS[key], args["_config"][name])
-    except ValueError as exc:
-        raise ConfigurationError(f"config key '{name}': {exc}") from None
-
-
 def _require(args: dict, key: str):
-    value = _merged(args, key)
-    if value is None:
+    if key not in args:
         raise DomainError(f"missing required parameter '{key}'")
-    return value
+    return args[key]
 
 
 def _grid_from(args: dict, r_min: float, r_max: float, n: int,
                spacing: Spacing = Spacing.UNIFORM) -> RadialGrid:
     return RadialGrid(
-        r_min=_merged(args, "r_min", r_min),
-        r_max=_merged(args, "r_max", r_max),
-        n_points=_merged(args, "n_points", n),
+        r_min=args.get("r_min", r_min),
+        r_max=args.get("r_max", r_max),
+        n_points=args.get("n_points", n),
         spacing=spacing,
     )
 
@@ -116,15 +105,18 @@ def _series_config(args: dict) -> SeriesConfig:
     return SeriesConfig(
         pot=PotentialMonomial(alpha=_require(args, "alpha"), beta=_require(args, "beta")),
         kappa=_require(args, "kappa"),
-        lam=_merged(args, "lam", 0.0),
-        epsilon=_merged(args, "epsilon", 1),
-        s_min=_merged(args, "s_min", 0),
-        s_max=_merged(args, "s_max", 40),
-        strategy=_merged(args, "strategy", Strategy.ONE_SIDED),
+        lam=args.get("lam", 0.0),
+        epsilon=args.get("epsilon", 1),
+        # the window and strategy default to SeriesConfig's own
+        **{key: args[key] for key in ("s_min", "s_max", "strategy") if key in args},
     )
 
 
-def _cmd_reduce(args) -> int:
+# Each handler takes the flags that argv or the config file set and returns
+# (payload, tables, checks): the JSON object, (path, header, rows) CSV tables
+# and (name, value, bound) checks, each of which passes when value <= bound.
+
+def _cmd_reduce(args):
     setup = QuantumSetup(
         mass=_require(args, "mass"),
         hbar=_require(args, "hbar"),
@@ -132,60 +124,57 @@ def _cmd_reduce(args) -> int:
         angular_momentum=_require(args, "angular_momentum"),
         energy=_require(args, "energy"),
     )
-    reduced = reduce_problem(setup, args["term"] or ())
+    reduced = reduce_problem(setup, args.get("term", ()))
     payload = {"kappa": reduced.kappa, "lambda": reduced.lam}
     for i, (s, p) in enumerate(reduced.terms):
         payload[f"term_{i}_strength"] = s
         payload[f"term_{i}_power"] = p
-    _emit(payload)
-    return 0
+    return payload, (), ()
 
 
-def _cmd_asym(args) -> int:
+def _cmd_asym(args):
     pot = PotentialMonomial(alpha=_require(args, "alpha"), beta=_require(args, "beta"))
     origin = origin_params(pot)
     p = special_p(pot.beta)
-    _emit({
+    return {
         "gamma": origin.gamma,
         "delta": origin.delta,
         "omega": p,
         "p": p,
         "polydromic": not p.is_integer(),
-    })
-    return 0
+    }, (), ()
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args):
     sol = build_series(_series_config(args))
     origin = origin_params(sol.config.pot)
     # the series is asymptotic: its default grid is its validity range
     r = _grid_from(args, r_min=0.05, r_max=0.2, n=200).nodes()
     res = ode_residual(sol, origin, r)
     tables = []
-    if args["coeff_out"]:
+    if args.get("coeff_out"):
         rows = [(float(s), sol.coefficients[s].real, sol.coefficients[s].imag)
                 for s in sorted(sol.coefficients)]
         tables.append((args["coeff_out"], ["s", "re_a", "im_a"], rows))
-    if args["wave_out"]:
+    if args.get("wave_out"):
         y = evaluate_solution(sol, origin, r)
         tables.append((args["wave_out"], ["r", "re_y", "im_y", "residual"],
                        zip(r, y.real, y.imag, res)))
     # np.max propagates NaN, so a non-finite residual anywhere stops _emit
     # before either table is written
-    _emit({
+    return {
         "omega": sol.omega,
         "gamma": origin.gamma,
         "delta": origin.delta,
         "n_coefficients": len(sol.coefficients),
         "normalization_index": sol.normalization_index,
         "max_residual": float(np.max(res)),
-    }, tables)
-    return 0
+    }, tables, ()
 
 
-def _cmd_ground(args) -> int:
+def _cmd_ground(args):
     A = _require(args, "A")
-    B = _merged(args, "B", 0.0)
+    B = args.get("B", 0.0)
     D = _require(args, "D")
     sol = solve_ground_state(A, B, D)
     payload = {
@@ -197,51 +186,41 @@ def _cmd_ground(args) -> int:
         "required_C": sol.required_C,
         "c_negative": sol.c_negative,
     }
-    user_c = _merged(args, "C")
-    if user_c is not None:
-        require_finite(C=user_c)
-        payload["C"] = user_c
-        payload["C_mismatch"] = user_c - sol.required_C
+    if "C" in args:
+        require_finite(C=args["C"])
+        payload["C"] = args["C"]
+        payload["C_mismatch"] = args["C"] - sol.required_C
     tables = []
-    if args["wave_out"]:
+    if args.get("wave_out"):
         r = _grid_from(args, r_min=0.05, r_max=10.0, n=400).nodes()
         tables.append((args["wave_out"], ["r", "y"], zip(r, evaluate_ground_state(sol, r))))
-    _emit(payload, tables)
-    return 0
+    return payload, tables, ()
 
 
-def _cmd_verify(args) -> int:
-    if _merged(args, "target", "ground") == "ground":
-        return _verify_ground(args)
-    return _verify_series(args)
+def _cmd_verify(args):
+    return _TARGETS[args.get("target", "ground")](args)
 
 
-def _verify_ground(args) -> int:
+def _verify_ground(args):
     A = _require(args, "A")
-    B = _merged(args, "B", 0.0)
+    B = args.get("B", 0.0)
     D = _require(args, "D")
     sol = solve_ground_state(A, B, D)
     terms = ((A, 4.0), (B, 3.0), (sol.required_C, 2.0), (D, 1.0))
-    e_lo = _merged(args, "e_lo", 2.0 * sol.energy)
-    e_hi = _merged(args, "e_hi", 0.5 * sol.energy)
+    e_lo = args.get("e_lo", 2.0 * sol.energy)
+    e_hi = args.get("e_hi", 0.5 * sol.energy)
     # the inward seed exp(-sqrt(-E) r) stands for the decaying tail, so the
     # grid reaches out to sqrt(-E) r_max = 35 for the shallowest energy in
     # the bracket (shoot_ground_energy rejects e_hi >= 0)
     r_max = max(14.0, 35.0 / math.sqrt(-e_hi)) if e_hi < 0.0 else 14.0
     grid = _grid_from(args, r_min=0.08, r_max=r_max, n=2000, spacing=Spacing.LOG)
-    tolerance = _merged(args, "tolerance", 1e-10)
+    tolerance = args.get("tolerance", 1e-10)
     result = shoot_ground_energy(terms, (e_lo, e_hi), grid, tolerance=tolerance)
     rel_err = abs(result.energy - sol.energy) / abs(sol.energy)
     r = np.linspace(max(grid.r_min, 0.1), min(grid.r_max, 10.0), 2001)
     fd = finite_difference_residual(r, evaluate_ground_state(sol, r),
                                     terms, sol.energy, 0.0)
-    failures = [f"{name} {value:.3g} > {bound:.3g}" for name, value, bound in (
-        ("match_defect", abs(result.match_defect), tolerance),
-        ("relative_energy_error", rel_err, 1e-6),
-        ("nodes", result.nodes, 0),
-    ) if not value <= bound]
-    _emit({
-        "status": "fail" if failures else "pass",
+    return {
         "closed_form_energy": sol.energy,
         "shooting_energy": result.energy,
         "relative_energy_error": rel_err,
@@ -254,14 +233,14 @@ def _verify_ground(args) -> int:
         "rescales": result.rescales,
         "trace": [list(pair) for pair in result.trace],
         "finite_difference_residual": fd,
-    })
-    if failures:
-        print("fail: " + "; ".join(failures), file=sys.stderr)
-        return 2
-    return 0
+    }, (), (
+        ("match_defect", abs(result.match_defect), tolerance),
+        ("relative_energy_error", rel_err, 1e-6),
+        ("nodes", result.nodes, 0),
+    )
 
 
-def _verify_series(args) -> int:
+def _verify_series(args):
     config = _series_config(args)
     sol = build_series(config)
     origin = origin_params(config.pot)
@@ -280,13 +259,12 @@ def _verify_series(args) -> int:
                                         Direction.OUTWARD, (part[0], part[1]))
                 for unit, part in ((1.0, y.real), (1j, y.imag)))
     gap = float(np.max(np.abs(sweep - y) / np.abs(y)))
-    passed = gap <= 1e-6
-    _emit({"status": "pass" if passed else "fail", "sweep_gap": gap,
-           "sweep_start": grid.r_min, "nodes": grid.n_points})
-    if not passed:
-        print(f"fail: sweep_gap {gap:.3g} > 1e-06", file=sys.stderr)
-        return 2
-    return 0
+    return ({"sweep_gap": gap, "sweep_start": grid.r_min, "nodes": grid.n_points}, (),
+            (("sweep_gap", gap, 1e-6),))
+
+
+# verify's targets by name; each target is a handler like the commands'
+_TARGETS = {"ground": _verify_ground, "series": _verify_series}
 
 
 # every flag once, keyed by dest
@@ -311,7 +289,7 @@ _FLAGS = {
     "B": _Flag("--B", float),
     "C": _Flag("--C", float, help="user-supplied C, reported against required_C"),
     "D": _Flag("--D", float),
-    "target": _Flag("--target", str, ("ground", "series")),
+    "target": _Flag("--target", str, tuple(_TARGETS)),
     "e_lo": _Flag("--e-lo", float),
     "e_hi": _Flag("--e-hi", float),
     "tolerance": _Flag("--tolerance", float),
@@ -502,14 +480,26 @@ def _parse(argv: Sequence[str]) -> dict:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse(argv)
+    handler, _, dests = _COMMANDS[argv[0]]
     try:
-        args["_config"] = _load_config(args["config"])
+        # explicit flags win over config-file values, which win over defaults
+        args = {**_load_config(args.pop("config"), dests),
+                **{dest: value for dest, value in args.items() if value is not None}}
         # overflow is reported by the validators and _emit, not as warnings
         with np.errstate(all="ignore"):
-            return _COMMANDS[argv[0]][0](args)
+            payload, tables, checks = handler(args)
+            failures = [f"{name} {value:.3g} > {bound:.3g}"
+                        for name, value, bound in checks if not value <= bound]
+            if checks:
+                payload = {"status": "fail" if failures else "pass", **payload}
+            _emit(payload, tables)
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if failures:
+        print("fail: " + "; ".join(failures), file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -18,9 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
-from .errors import DomainError, require_finite, require_radii
+from .errors import DomainError, require_finite
 from .potentials import PotentialTerms
 
 
@@ -77,17 +75,3 @@ def reduce_problem(setup: QuantumSetup, physical_terms: PotentialTerms = ()) -> 
         require_finite(term_strength=s, term_power=p, reduced_term_strength=scale * s)
     terms = tuple((scale * s, float(p)) for s, p in physical_terms)
     return ReducedProblem(kappa=kappa, lam=lam, terms=terms)
-
-
-def to_full_wavefunction(r, y, q: int):
-    """Convert samples of y(r) back to psi(r) = r^(-(q-1)/2) y(r).
-
-    ``r`` and ``y`` are matching arrays (or scalars); every radius must be
-    finite and positive.
-    """
-    r = require_radii(r)
-    if int(q) != q or q < 2:
-        raise DomainError("dimension q must be an integer >= 2")
-    y = np.asarray(y)
-    psi = r ** (-0.5 * (q - 1)) * y
-    return psi if psi.ndim else psi[()]

@@ -161,11 +161,10 @@ def build_series(config: SeriesConfig) -> SeriesSolution:
     a[0] = 1.0 + 0.0j
     get = a.get
     # the row defining a_0 (s = -b - 1) reads only negative indices, all
-    # zero, so it holds and the solve starts at a_1; a sum starting from 0,
-    # as sum() does, turns negative zeros into +0
+    # zero, so it holds and the solve starts at a_1
     for (d, pivot), (i, ci), (j, cj), (k, ck) in _recurrence_rows(
             config, range(-b, config.s_max - b)):
-        a[d] = -(0 + ci * get(i, 0.0) + cj * get(j, 0.0) + ck * get(k, 0.0)) / pivot
+        a[d] = -(ci * get(i, 0.0) + cj * get(j, 0.0) + ck * get(k, 0.0)) / pivot
         if not cmath.isfinite(a[d]):
             raise NoConvergence(
                 f"series coefficient a_{d} overflowed; lower s_max "

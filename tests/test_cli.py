@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import invpower
-from invpower import series
+from invpower import cli, series
 from invpower import (PotentialMonomial, SeriesConfig, SeriesSolution,
                       build_series, evaluate_solution, origin_params, ode_residual)
 from invpower.cli import _COMMANDS, _FLAGS, main
@@ -266,6 +266,44 @@ def test_verify_ground_rejects_a_grid_too_coarse_for_numerov(capsys, grid):
     assert err.startswith("error: grid too coarse: 1 - h^2 g / 12 reaches -")
 
 
+@pytest.mark.parametrize("value, code, status, err", [
+    (0.5, 0, "pass", ""),
+    (1.0, 0, "pass", ""),
+    (2.0, 2, "fail", "fail: gap 2 > 1\n"),
+    (math.nan, 2, "fail", "fail: gap nan > 1\n"),
+])
+def test_check_passes_when_value_is_at_most_its_bound(capsys, monkeypatch,
+                                                      value, code, status, err):
+    # a check is a plain (name, value, bound) triple; NaN is not <= anything
+    monkeypatch.setitem(cli._TARGETS, "ground",
+                        lambda args: ({"gap": 0.0}, (), (("gap", value, 1.0),)))
+    assert run(capsys, "verify", "--target", "ground") == (
+        code, json.dumps({"status": status, "gap": 0.0}) + "\n", err)
+
+
+def test_every_failed_check_on_one_line(capsys, monkeypatch):
+    checks = (("a", 2.0, 1.0), ("b", 0.0, 0.0), ("c", 3.0, 0.0))
+    monkeypatch.setitem(cli._TARGETS, "series", lambda args: ({}, (), checks))
+    assert run(capsys, "verify", "--target", "series") == (
+        2, '{"status": "fail"}\n', "fail: a 2 > 1; c 3 > 0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--target", "ground", "--A", "1", "--B", "2", "--D", "-4"),
+    VERIFY_SERIES_ARGS,
+])
+def test_verify_status_is_the_first_key(capsys, argv):
+    assert next(iter(run_json(capsys, *argv))) == "status"
+
+
+def test_target_choices_are_the_targets_table(capsys):
+    assert _FLAGS["target"].choices == tuple(cli._TARGETS) == ("ground", "series")
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--target", "bogus"])
+    assert info.value.code == 1
+    assert capsys.readouterr().err.endswith("invalid choice: 'bogus' (choose from 'ground', 'series')\n")
+
+
 def test_header_stability(capsys, tmp_path):
     # golden contract: two runs produce byte-identical artifacts
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -372,7 +410,9 @@ def test_negative_value_in_exponent_form(capsys):
 
 
 @pytest.mark.parametrize("line", ["alpha = abc", "n_points = 1.5", "strategy = bogus",
-                                  "alpha", "epsilon = 3", "lamda = 1.5", "lam = 1.5"])
+                                  "alpha", "epsilon = 3", "lamda = 1.5", "lam = 1.5",
+                                  # --term takes two values; --config names this file
+                                  "term = 1 4", "config = other.cfg"])
 def test_malformed_config_value_rejected(capsys, tmp_path, line):
     config = tmp_path / "params.cfg"
     config.write_text(f"alpha = 1\nbeta = 6\nkappa = 1\n{line}\n")
@@ -414,6 +454,41 @@ def test_config_key_of_another_subcommands_flag_ignored(capsys, tmp_path):
     config.write_text("s_min = -3\nstrategy = windowed\n")
     argv = ("verify", "--target", "series", "--alpha", "1", "--beta", "6", "--kappa", "1")
     assert run_json(capsys, *argv, "--config", str(config)) == run_json(capsys, *argv)
+
+
+def test_config_tables_match_the_flags(capsys, tmp_path):
+    # the CSV paths are config keys like any other
+    base = ("series", "--alpha", "1", "--beta", "6", "--kappa", "1", "--n-points", "40")
+    flags, config = tmp_path / "flags", tmp_path / "config"
+    for folder in (flags, config):
+        folder.mkdir()
+    from_flags = run_json(capsys, *base, "--coeff-out", str(flags / "coeffs.csv"),
+                          "--wave-out", str(flags / "wave.csv"))
+    params = tmp_path / "params.cfg"
+    params.write_text(f"coeff_out = {config / 'coeffs.csv'}\nwave-out = {config / 'wave.csv'}\n")
+    assert run_json(capsys, *base, "--config", str(params)) == from_flags
+    for name in ("coeffs.csv", "wave.csv"):
+        assert (config / name).read_bytes() == (flags / name).read_bytes()
+
+
+def test_table_path_flag_wins_over_config(capsys, tmp_path):
+    params = tmp_path / "params.cfg"
+    params.write_text(f"coeff_out = {tmp_path / 'config.csv'}\n")
+    run_json(capsys, "series", "--alpha", "1", "--beta", "6", "--kappa", "1",
+             "--config", str(params), "--coeff-out", str(tmp_path / "flag.csv"))
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["flag.csv", "params.cfg"]
+
+
+def test_config_values_checked_when_read(capsys, tmp_path):
+    # verify --target ground reads no s_max, yet its config value must still
+    # be an int, as it must be on the command line
+    config = tmp_path / "params.cfg"
+    config.write_text("s_max = abc\n")
+    code, out, err = run(capsys, "verify", "--target", "ground", "--A", "1", "--B", "2",
+                         "--D", "-4", "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert err == "error: config key 's_max': invalid int value: 'abc'\n"
 
 
 def test_non_finite_result_writes_no_csv(capsys, tmp_path):

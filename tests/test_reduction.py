@@ -1,8 +1,7 @@
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from invpower import DomainError, QuantumSetup, reduce_problem, to_full_wavefunction
+from invpower import DomainError, QuantumSetup, reduce_problem
 
 
 def test_free_particle_3d():
@@ -36,39 +35,6 @@ def test_potential_strength_rescaling():
 def test_invalid_setups_rejected(bad):
     with pytest.raises(DomainError):
         QuantumSetup(**bad)
-
-
-def test_full_wavefunction_q3_identity():
-    r = np.linspace(0.2, 5.0, 50)
-    psi = to_full_wavefunction(r, r, q=3)
-    assert np.allclose(psi, 1.0, rtol=1e-15)
-
-
-def test_full_wavefunction_q2_sqrt():
-    assert to_full_wavefunction(1.0, 1.0, q=2) == pytest.approx(1.0)
-    assert to_full_wavefunction(4.0, 4.0, q=2) == pytest.approx(2.0)
-
-
-def test_full_wavefunction_limiting_form_q2():
-    # y = r exp(-1/r) in two dimensions gives psi = sqrt(r) exp(-1/r);
-    # oracle: direct pointwise evaluation
-    r = np.geomspace(0.1, 10.0, 40)
-    y = r * np.exp(-1.0 / r)
-    psi = to_full_wavefunction(r, y, q=2)
-    assert np.allclose(psi, np.sqrt(r) * np.exp(-1.0 / r), rtol=1e-14)
-
-
-def test_full_wavefunction_rejects_nonpositive_r():
-    with pytest.raises(DomainError):
-        to_full_wavefunction(np.array([1.0, 0.0]), np.array([1.0, 1.0]), q=3)
-
-
-def test_round_trip():
-    r = np.geomspace(0.05, 20.0, 100)
-    y = np.sin(r) * np.exp(-0.1 * r)
-    for q in (2, 3, 5, 8):
-        psi = to_full_wavefunction(r, y, q)
-        assert np.allclose(psi * r ** (0.5 * (q - 1)), y, rtol=1e-13)
 
 
 @given(q=st.integers(min_value=2, max_value=12), l=st.integers(min_value=1, max_value=10))

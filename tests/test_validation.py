@@ -10,8 +10,7 @@ from invpower import (Direction, DomainError, PotentialMonomial, RadialGrid,
                       SeriesConfig, Spacing, build_series, evaluate_ground_state,
                       evaluate_solution, evaluate_terms, ground_state_residual,
                       integrate_radial, ode_residual, origin_params,
-                      shoot_ground_energy, solve_ground_state,
-                      to_full_wavefunction)
+                      shoot_ground_energy, solve_ground_state)
 
 _SERIES = build_series(SeriesConfig(pot=PotentialMonomial(1.0, 6.0), kappa=1.0,
                                     lam=0.5, epsilon=1, s_max=10))
@@ -24,7 +23,6 @@ EVALUATORS = {
     "evaluate_ground_state": lambda r: evaluate_ground_state(_GROUND, r),
     "ground_state_residual": lambda r: ground_state_residual(
         _GROUND, 1.0, 2.0, _GROUND.required_C, -4.0, _GROUND.energy, r),
-    "to_full_wavefunction": lambda r: to_full_wavefunction(r, np.ones_like(r), 3),
     "evaluate_terms": lambda r: evaluate_terms(((1.0, 4.0), (-2.0, 1.0)), r),
 }
 
