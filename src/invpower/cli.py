@@ -26,8 +26,7 @@ from .groundstate import evaluate_ground_state, solve_ground_state
 from .oracle import (Direction, RadialGrid, Spacing, finite_difference_residual,
                      integrate_radial, shoot_ground_energy)
 from .reduction import QuantumSetup, reduce_problem
-from .series import (SeriesConfig, Strategy, build_series, evaluate_solution,
-                     ode_residual)
+from .series import SeriesConfig, build_series, evaluate_solution, ode_residual
 
 _USER_ERRORS = (DomainError, ConfigurationError, DegenerateC, NotNormalizable,
                 BracketError, NoConvergence, IntegrationDiverged, OSError)
@@ -107,9 +106,16 @@ def _series_config(args: dict) -> SeriesConfig:
         kappa=_require(args, "kappa"),
         lam=args.get("lam", 0.0),
         epsilon=args.get("epsilon", 1),
-        # the window and strategy default to SeriesConfig's own
-        **{key: args[key] for key in ("s_min", "s_max", "strategy") if key in args},
+        s_max=args.get("s_max", SeriesConfig.s_max),
     )
+
+
+def _ground_state(args):
+    A = _require(args, "A")
+    B = args.get("B", 0.0)
+    D = _require(args, "D")
+    sol = solve_ground_state(A, B, D)
+    return sol, ((A, 4.0), (B, 3.0), (sol.required_C, 2.0), (D, 1.0))
 
 
 # Each handler takes the flags that argv or the config file set and returns
@@ -173,10 +179,7 @@ def _cmd_series(args):
 
 
 def _cmd_ground(args):
-    A = _require(args, "A")
-    B = args.get("B", 0.0)
-    D = _require(args, "D")
-    sol = solve_ground_state(A, B, D)
+    sol, _ = _ground_state(args)
     payload = {
         "a": sol.a,
         "b": sol.linear_slope_b,
@@ -197,16 +200,8 @@ def _cmd_ground(args):
     return payload, tables, ()
 
 
-def _cmd_verify(args):
-    return _TARGETS[args.get("target", "ground")](args)
-
-
 def _verify_ground(args):
-    A = _require(args, "A")
-    B = args.get("B", 0.0)
-    D = _require(args, "D")
-    sol = solve_ground_state(A, B, D)
-    terms = ((A, 4.0), (B, 3.0), (sol.required_C, 2.0), (D, 1.0))
+    sol, terms = _ground_state(args)
     e_lo = args.get("e_lo", 2.0 * sol.energy)
     e_hi = args.get("e_hi", 0.5 * sol.energy)
     # the inward seed exp(-sqrt(-E) r) stands for the decaying tail, so the
@@ -241,9 +236,8 @@ def _verify_ground(args):
 
 
 def _verify_series(args):
-    config = _series_config(args)
-    sol = build_series(config)
-    origin = origin_params(config.pot)
+    sol = build_series(_series_config(args))
+    origin = origin_params(sol.config.pot)
     span = _grid_from(args, r_min=0.05, r_max=0.2, n=4000, spacing=Spacing.LOG)
     r = np.geomspace(span.r_min, span.r_max, max(span.n_points, 4000))
     y = evaluate_solution(sol, origin, r)
@@ -253,9 +247,9 @@ def _verify_series(args):
     start = int(np.argmax(np.abs(y) >= math.exp(-30.0) * abs(y[-1])))
     grid = RadialGrid(r[start], span.r_max, len(r), Spacing.LOG)
     y = evaluate_solution(sol, origin, grid.nodes())
-    terms = ((config.pot.alpha, config.pot.beta),)
+    terms = ((sol.config.pot.alpha, sol.config.pot.beta),)
     # f is real, so the real and imaginary parts are solutions on their own
-    sweep = sum(unit * integrate_radial(terms, config.kappa, config.lam, grid,
+    sweep = sum(unit * integrate_radial(terms, sol.config.kappa, sol.config.lam, grid,
                                         Direction.OUTWARD, (part[0], part[1]))
                 for unit, part in ((1.0, y.real), (1j, y.imag)))
     gap = float(np.max(np.abs(sweep - y) / np.abs(y)))
@@ -263,8 +257,11 @@ def _verify_series(args):
             (("sweep_gap", gap, 1e-6),))
 
 
-# verify's targets by name; each target is a handler like the commands'
-_TARGETS = {"ground": _verify_ground, "series": _verify_series}
+_GRID = ("r_min", "r_max", "n_points")
+_SERIES = ("alpha", "beta", "kappa", "lam", "epsilon", "s_max") + _GRID
+# verify's targets, name: (handler, flags besides --target and --config)
+_TARGETS = {"ground": (_verify_ground, ("A", "B", "D", "e_lo", "e_hi", "tolerance") + _GRID),
+            "series": (_verify_series, _SERIES)}
 
 
 # every flag once, keyed by dest
@@ -282,9 +279,7 @@ _FLAGS = {
     "kappa": _Flag("--kappa", float),
     "lam": _Flag("--lambda", float),
     "epsilon": _Flag("--epsilon", int, (1, -1)),
-    "s_min": _Flag("--s-min", int),
     "s_max": _Flag("--s-max", int),
-    "strategy": _Flag("--strategy", Strategy, help=" or ".join(s.value for s in Strategy)),
     "A": _Flag("--A", float),
     "B": _Flag("--B", float),
     "C": _Flag("--C", float, help="user-supplied C, reported against required_C"),
@@ -300,7 +295,6 @@ _FLAGS = {
     "wave_out": _Flag("--wave-out", str, help="CSV path for the wavefunction table"),
 }
 
-_GRID = ("r_min", "r_max", "n_points")
 _DESCRIPTION = "Radial Schrodinger toolkit for repulsive inverse-power potentials"
 # name: (handler, help, flags besides --config)
 _COMMANDS = {
@@ -308,11 +302,10 @@ _COMMANDS = {
                ("mass", "hbar", "dimension", "angular_momentum", "energy", "term")),
     "asym": (_cmd_asym, "near-origin parameters gamma, delta, omega, p", ("alpha", "beta")),
     "series": (_cmd_series, "build the even-beta series solution",
-               ("alpha", "beta", "kappa", "lam", "epsilon", "s_min", "s_max", "strategy")
-               + _GRID + ("coeff_out", "wave_out")),
+               _SERIES + ("coeff_out", "wave_out")),
     "ground": (_cmd_ground, "closed-form ground state for the 4-term potential",
                ("A", "B", "C", "D", "wave_out") + _GRID),
-    "verify": (_cmd_verify, "cross-check analytic results with the oracle",
+    "verify": (None, "cross-check analytic results with the oracle",
                ("target", "A", "B", "D", "alpha", "beta", "kappa", "lam", "epsilon",
                 "s_max", "e_lo", "e_hi", "tolerance") + _GRID),
 }
@@ -485,6 +478,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # explicit flags win over config-file values, which win over defaults
         args = {**_load_config(args.pop("config"), dests),
                 **{dest: value for dest, value in args.items() if value is not None}}
+        if handler is None:  # verify runs its target, and argv may set only its flags
+            handler, dests = _TARGETS[args.setdefault("target", "ground")]
+            for token in argv[1:]:  # each option in argv order; a value names none, or -h
+                dest = _parser()["verify"].get(_match(_parser()["verify"], token, "verify"))
+                if dest not in (None, "config", "target") + dests:
+                    _stop("verify", f"argument {_FLAGS[dest].option}: "
+                                    f"not allowed with --target {args['target']}")
         # overflow is reported by the validators and _emit, not as warnings
         with np.errstate(all="ignore"):
             payload, tables, checks = handler(args)

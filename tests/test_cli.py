@@ -276,14 +276,14 @@ def test_check_passes_when_value_is_at_most_its_bound(capsys, monkeypatch,
                                                       value, code, status, err):
     # a check is a plain (name, value, bound) triple; NaN is not <= anything
     monkeypatch.setitem(cli._TARGETS, "ground",
-                        lambda args: ({"gap": 0.0}, (), (("gap", value, 1.0),)))
+                        (lambda args: ({"gap": 0.0}, (), (("gap", value, 1.0),)), ()))
     assert run(capsys, "verify", "--target", "ground") == (
         code, json.dumps({"status": status, "gap": 0.0}) + "\n", err)
 
 
 def test_every_failed_check_on_one_line(capsys, monkeypatch):
     checks = (("a", 2.0, 1.0), ("b", 0.0, 0.0), ("c", 3.0, 0.0))
-    monkeypatch.setitem(cli._TARGETS, "series", lambda args: ({}, (), checks))
+    monkeypatch.setitem(cli._TARGETS, "series", (lambda args: ({}, (), checks), ()))
     assert run(capsys, "verify", "--target", "series") == (
         2, '{"status": "fail"}\n', "fail: a 2 > 1; c 3 > 0\n")
 
@@ -294,6 +294,60 @@ def test_every_failed_check_on_one_line(capsys, monkeypatch):
 ])
 def test_verify_status_is_the_first_key(capsys, argv):
     assert next(iter(run_json(capsys, *argv))) == "status"
+
+
+# each flag that one verify target reads and the other does not, with the other
+FOREIGN = ([("series", dest) for dest in ("A", "B", "D", "e_lo", "e_hi", "tolerance")]
+           + [("ground", dest) for dest in ("alpha", "beta", "kappa", "lam", "epsilon", "s_max")])
+TARGET_ARGS = {"ground": ("--A", "1", "--B", "2", "--D", "-4"),
+               "series": ("--alpha", "1", "--beta", "6", "--kappa", "1")}
+FOREIGN_VALUES = {"epsilon": "1", "s_max": "20"}
+
+
+def usage_error(capsys, *argv):
+    """The error line of a call that must exit 1 with its command's usage."""
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage: invpower {argv[0]}")
+    return err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("target, dest", FOREIGN)
+def test_flag_of_another_target_is_a_usage_error(capsys, target, dest):
+    option = _FLAGS[dest].option
+    assert usage_error(capsys, "verify", "--target", target, *TARGET_ARGS[target],
+                       option, FOREIGN_VALUES.get(dest, "1")) == (
+        f"invpower verify: error: argument {option}: not allowed with --target {target}")
+
+
+def test_first_foreign_flag_in_argv_order_is_reported(capsys):
+    for extra, option in ((("--s-max", "2", "--beta", "5"), "--s-max"),
+                          (("--be", "5", "--s-max=2"), "--beta")):
+        assert usage_error(capsys, "verify", *TARGET_ARGS["ground"], *extra).endswith(
+            f"argument {option}: not allowed with --target ground")
+
+
+def test_target_defaults_to_ground_for_its_flags(capsys):
+    assert usage_error(capsys, "verify", *TARGET_ARGS["series"]).endswith(
+        "argument --alpha: not allowed with --target ground")
+
+
+def test_target_from_the_config_file_owns_the_flags(capsys, tmp_path):
+    config = tmp_path / "params.cfg"
+    config.write_text("target = series\n")
+    assert usage_error(capsys, "verify", "--config", str(config), *TARGET_ARGS["series"],
+                       "--tolerance", "1e-8").endswith(
+        "argument --tolerance: not allowed with --target series")
+    payload = run_json(capsys, "verify", "--config", str(config), *TARGET_ARGS["series"])
+    assert payload == run_json(capsys, "verify", "--target", "series", *TARGET_ARGS["series"])
+
+
+def test_verify_flags_are_the_targets_flags():
+    flags = _COMMANDS["verify"][2]
+    assert len(set(flags)) == len(flags)
+    assert set(flags) == {"target"}.union(*(dests for _, dests in cli._TARGETS.values()))
 
 
 def test_target_choices_are_the_targets_table(capsys):
@@ -347,8 +401,8 @@ SERIES_ARGS = ("series", "--alpha", "1", "--beta", "6", "--kappa", "1")
     pytest.param(("series", "--alpha", "1e308", "--beta", "6", "--kappa", "1"),
                  id="series-alpha-overflow"),
     # alpha * kappa overflows, so the forward solve stops at a_1
-    pytest.param(("series", "--alpha", "1e308", "--beta", "4", "--kappa", "2",
-                  "--strategy", "windowed"), id="series-windowed-overflow"),
+    pytest.param(("series", "--alpha", "1e308", "--beta", "4", "--kappa", "2"),
+                 id="series-a1-overflow"),
 ])
 def test_non_finite_input_and_overflow_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -449,9 +503,10 @@ def test_overflow_prints_only_the_error_line(capsys, argv):
 
 
 def test_config_key_of_another_subcommands_flag_ignored(capsys, tmp_path):
-    # s_min and strategy are series flags; verify --target series has neither
+    # C and wave_out are ground's flags, tolerance and e_lo verify --target
+    # ground's; verify --target series reads none of them
     config = tmp_path / "params.cfg"
-    config.write_text("s_min = -3\nstrategy = windowed\n")
+    config.write_text("C = 1\nwave_out = wave.csv\ntolerance = -3\ne_lo = 5\n")
     argv = ("verify", "--target", "series", "--alpha", "1", "--beta", "6", "--kappa", "1")
     assert run_json(capsys, *argv, "--config", str(config)) == run_json(capsys, *argv)
 
@@ -551,14 +606,6 @@ class TestGrammar:
     """The edges of the flag grammar, which the table parser reads as
     argparse did."""
 
-    def usage_error(self, capsys, *argv):
-        with pytest.raises(SystemExit) as info:
-            main(list(argv))
-        assert info.value.code == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"usage: invpower {argv[0]}")
-        return err.splitlines()[-1]
-
     def test_unique_prefix_names_the_option(self, capsys):
         assert run_json(capsys, "asym", "--al", "1", "--beta", "6") == \
             run_json(capsys, "asym", "--alpha", "1", "--beta", "6")
@@ -566,18 +613,18 @@ class TestGrammar:
             run_json(capsys, "asym", "--alpha", "1", "--beta", "6")
 
     def test_ambiguous_prefix_is_a_usage_error(self, capsys):
-        assert self.usage_error(capsys, "verify", "--e", "1") == (
+        assert usage_error(capsys, "verify", "--e", "1") == (
             "invpower verify: error: ambiguous option: --e could match --epsilon, --e-lo, --e-hi")
 
     @pytest.mark.parametrize("term", [("--term=1", "2"), ("--term", "1")])
     def test_term_takes_two_values(self, capsys, term):
         argv = ("reduce", "--mass", "1", "--hbar", "1", "--dimension", "3",
                 "--angular-momentum", "0", "--energy", "1") + term
-        assert self.usage_error(capsys, *argv) == (
+        assert usage_error(capsys, *argv) == (
             "invpower reduce: error: argument --term: expected 2 arguments")
 
     def test_option_is_not_a_value(self, capsys):
-        assert self.usage_error(capsys, "ground", "--A", "1", "--D", "--B", "2") == (
+        assert usage_error(capsys, "ground", "--A", "1", "--D", "--B", "2") == (
             "invpower ground: error: argument --D: expected one argument")
 
     def test_repeated_flag_last_wins(self, capsys):

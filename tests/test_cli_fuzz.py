@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from invpower.cli import _COMMANDS, _FLAGS, _parse, main
+from invpower.cli import _COMMANDS, _FLAGS, _TARGETS, _parse, main
 
 # values that overflow or are not numbers at all; as text, the float ones
 # are also malformed integers
@@ -36,8 +36,7 @@ TYPICAL = {
     "term": POSITIVE,
     "alpha": POSITIVE, "beta": st.sampled_from([4.0, 6.0, 8.0, 10.0, 5.0]),
     "kappa": POSITIVE, "lam": st.floats(0.0, 3.0),
-    "epsilon": st.sampled_from([1, -1]), "s_min": st.integers(-6, 0),
-    "s_max": st.integers(8, 60),
+    "epsilon": st.sampled_from([1, -1]), "s_max": st.integers(8, 60),
     "A": POSITIVE, "B": st.floats(-4.0, 4.0), "C": ANY_FLOAT, "D": st.floats(-8.0, -0.1),
     "e_lo": st.floats(-8.0, 0.0), "e_hi": st.floats(-8.0, 0.0),
     "tolerance": st.sampled_from([1e-10, 1e-6, 0.0]),
@@ -66,19 +65,35 @@ def _value(dest):
     if dest == "term":
         number = _number(dest, float)
         return st.lists(st.tuples(number, number), min_size=1, max_size=2)
-    flag = _FLAGS[dest]
-    if dest in TYPICAL:
-        return _number(dest, flag.type)
-    if flag.choices is not None:
-        return st.sampled_from(flag.choices)
-    return st.sampled_from([s.value for s in flag.type])  # an Enum
+    return _number(dest, _FLAGS[dest].type)
+
+
+def _drawn(dests):
+    """Each of ``dests``, absent (None) or with a drawn value; a flag without
+    a default is seldom absent, one with a default often."""
+    return st.fixed_dictionaries({d: _seldom(st.just(None), _value(d), 10 if d in REQUIRED else 2)
+                                  for d in dests})
+
+
+def _own_flags(target):
+    return ("target",) + _TARGETS[target or "ground"][1]
+
+
+def _target_flags(target):
+    """verify --target ``target`` (None: left out), that target's flags and,
+    seldom, one flag that only the other target reads."""
+    foreign = [d for d in _COMMANDS["verify"][2] if d not in _own_flags(target)]
+    one = st.sampled_from(foreign).flatmap(lambda d: _value(d).map(lambda v: {d: v}))
+    return st.tuples(_drawn(_TARGETS[target or "ground"][1]), _seldom(one, st.just({}), 8)).map(
+        lambda drawn: {"target": target, **drawn[0], **drawn[1]})
 
 
 def _flags(command):
-    """Each of the command's flags, absent (None) or with a drawn value; a
-    flag without a default is seldom absent, one with a default often."""
-    return st.fixed_dictionaries({d: _seldom(st.just(None), _value(d), 10 if d in REQUIRED else 2)
-                                  for d in _COMMANDS[command][2]})
+    """The command's flags as _drawn draws them; verify draws its target
+    first."""
+    if command == "verify":
+        return _seldom(st.just(None), st.sampled_from(tuple(_TARGETS)), 4).flatmap(_target_flags)
+    return _drawn(_COMMANDS[command][2])
 
 
 def _reject_constant(token):
@@ -188,6 +203,9 @@ def test_cli_contract(command, data):
         assert_one_parse(argv)
         code, out, err = _call(argv)
         assert code in (0, 1, 2), argv
+        if command == "verify" and any(value is not None and dest not in _own_flags(flags["target"])
+                                       for dest, value in flags.items()):
+            assert code == 1 and out == "" and err.startswith("usage: invpower verify"), argv
         if code == 1:
             assert out == "" and "error:" in err, argv
         else:
@@ -205,7 +223,8 @@ def test_cli_contract(command, data):
     ["ground", "--A", "1", "--B", "2", "--D=-1e308"],
     ["ground", "--A", "1", "--B", "2", "--D", "-4e0"],
     ["asym", "--config", "params.cfg", "--beta", "6"],
-    ["series", "--alpha", "1", "--beta", "6", "--kappa", "1", "--strategy", "windowed"],
+    ["verify", "--target", "series", "--alpha", "1", "--beta", "6", "--kappa", "1",
+     "--tolerance", "1e-8"],
     ["verify", "--target", "bogus"],
     ["ground", "--A", "1", "--D"],
     ["ground", "--A", "1", "--D", "-inf"],
