@@ -193,9 +193,11 @@ def _cmd_ground(args):
         require_finite(C=args["C"])
         payload["C"] = args["C"]
         payload["C_mismatch"] = args["C"] - sol.required_C
+    # the grid flags are checked whether or not the table is asked for
+    grid = _grid_from(args, r_min=0.05, r_max=10.0, n=400)
     tables = []
     if args.get("wave_out"):
-        r = _grid_from(args, r_min=0.05, r_max=10.0, n=400).nodes()
+        r = grid.nodes()
         tables.append((args["wave_out"], ["r", "y"], zip(r, evaluate_ground_state(sol, r))))
     return payload, tables, ()
 
@@ -324,53 +326,33 @@ def _convert(flag: _Flag, raw: str):
     return value
 
 
-def _invocation(dest: str) -> str:
-    """A flag as usage and help show it: the option and its metavar."""
-    flag = _FLAGS[dest]
-    if dest == "term":
-        return "--term STRENGTH POWER"
-    if flag.choices is None:
-        return f"{flag.option} {dest.upper()}"
-    return f"{flag.option} {{{','.join(map(str, flag.choices))}}}"
-
-
-def _usage(command: Optional[str]) -> str:
-    """The usage line, wrapped at 78 columns as argparse wraps it."""
-    head = "usage: invpower" if command is None else f"usage: invpower {command}"
-    parts = (["[--version]", "{%s} ..." % ",".join(_COMMANDS)] if command is None else
-             [f"[{_invocation(d)}]" for d in ("config",) + _COMMANDS[command][2]])
-    lines = [head + " [-h]"]
-    for part in parts:
-        if len(lines[-1]) + 1 + len(part) > 78:
-            lines.append(" " * len(head))
-        lines[-1] += " " + part
-    return "\n".join(lines)
-
-
-def _help(command: Optional[str]) -> str:
-    """Usage, then each command or option with its help, in argparse's
-    layout: the help column is at most 24 characters in."""
-    options = [("-h, --help", "show this help message and exit")]
+def _formatter(command: Optional[str]):
+    """An argparse parser built from the flag table only to format the help
+    and usage of ``command`` (None: the top level), never to parse; so
+    argparse is imported only when text is printed."""
+    import argparse
+    parser = argparse.ArgumentParser(
+        prog="invpower" if command is None else f"invpower {command}",
+        description=_DESCRIPTION if command is None else None,
+        # a fixed width, so that the text does not follow the terminal's
+        formatter_class=functools.partial(argparse.HelpFormatter, width=78))
     if command is None:
-        sections = {"positional arguments:": [("{%s}" % ",".join(_COMMANDS), None)] + [
-            (f"  {name}", text) for name, (_, text, _) in _COMMANDS.items()],
-            "options:": options + [("--version", "show program's version number and exit")]}
-    else:
-        sections = {"options:": options + [(_invocation(d), _FLAGS[d].help)
-                                           for d in ("config",) + _COMMANDS[command][2]]}
-    column = min(24, 4 + max(len(name) for rows in sections.values() for name, _ in rows))
-    blocks = [_usage(command)] + ([_DESCRIPTION] if command is None else [])
-    for title, rows in sections.items():
-        lines = [title]
-        for name, text in rows:
-            if text is None:
-                lines.append(f"  {name}")
-            elif len(name) + 4 <= column:
-                lines.append(f"  {name:<{column - 4}}  {text}")
-            else:
-                lines += [f"  {name}", " " * column + text]
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks)
+        parser.add_argument("--version", action="version", version=__version__)
+        commands = parser.add_subparsers()
+        for name, (_, text, _) in _COMMANDS.items():
+            commands.add_parser(name, help=text)
+        return parser
+    groups = {}  # verify lists a flag that one target alone reads under that target
+    if command == "verify":
+        for target, (_, dests) in _TARGETS.items():
+            group = parser.add_argument_group(f"--target {target}")
+            groups.update({dest: group for dest in dests if dest not in _GRID})
+    for dest in ("config",) + _COMMANDS[command][2]:
+        flag = _FLAGS[dest]
+        extra = {} if dest != "term" else dict(nargs=2, metavar=("STRENGTH", "POWER"))
+        groups.get(dest, parser).add_argument(flag.option, dest=dest, choices=flag.choices,
+                                              help=flag.help, **extra)
+    return parser
 
 
 def _stop(command: Optional[str], message: Optional[str] = None, argv=()):
@@ -379,11 +361,11 @@ def _stop(command: Optional[str], message: Optional[str] = None, argv=()):
     is reported first."""
     for token in argv[1:]:
         _match(_parser()[command], token, command)
+    parser = _formatter(command)
     if message is None:
-        print(_help(command))
+        parser.print_help()
         raise SystemExit(0)
-    prog = "invpower" if command is None else f"invpower {command}"
-    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    sys.stderr.write(f"{parser.format_usage()}{parser.prog}: error: {message}\n")
     raise SystemExit(1)
 
 

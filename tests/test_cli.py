@@ -1,7 +1,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +85,17 @@ def test_ground_degenerate_exit(capsys):
     code, _, err = run(capsys, "ground", "--A", "1", "--B", "-2", "--D", "-1")
     assert code == 1
     assert "mu" in err or "c = 0" in err
+
+
+@pytest.mark.parametrize("flags, error", [
+    (("--n-points", "5"), "n_points must be an integer >= 16"),
+    (("--r-min", "-3"), "r_min must be positive"),
+])
+def test_ground_grid_flags_checked_without_wave_out(capsys, tmp_path, flags, error):
+    argv = ("ground", "--A", "1", "--B", "2", "--D", "-4") + flags
+    for table in ((), ("--wave-out", str(tmp_path / "wave.csv"))):
+        assert run(capsys, *argv, *table) == (1, "", f"error: {error}\n")
+    assert not (tmp_path / "wave.csv").exists()
 
 
 def test_series_artifacts_round_trip(capsys, tmp_path):
@@ -447,6 +462,42 @@ def test_calls_without_a_command_exit_1(capsys, argv):
     assert capsys.readouterr().err.startswith("usage: invpower [-h] [--version]")
 
 
+def test_successful_calls_import_no_argparse():
+    # a fresh interpreter, since pytest itself imports argparse
+    calls = [["reduce", "--mass", "1", "--hbar", "1", "--dimension", "3",
+              "--angular-momentum", "0", "--energy", "1"],
+             ["asym", "--alpha", "1", "--beta", "6"],
+             ["series", "--alpha", "1", "--beta", "6", "--kappa", "1"],
+             ["ground", "--A", "1", "--B", "2", "--D", "-4"],
+             ["verify", "--target", "ground", "--A", "1", "--B", "2", "--D", "-4"],
+             list(VERIFY_SERIES_ARGS)]
+    script = ("import contextlib, io, sys\nfrom invpower.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    codes = [main(argv) for argv in {calls!r}]\n"
+              "print(codes, 'argparse' in sys.modules)\n")
+    path = [str(Path(invpower.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+    assert (result.stdout, result.stderr) == (f"{[0] * len(calls)} False\n", "")
+
+
+def test_verify_help_lists_each_targets_own_flags_under_it(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--help"])
+    assert info.value.code == 0
+    _, *blocks = capsys.readouterr().out.split("\n\n")
+    sections = {}
+    for block in blocks:
+        title, *rows = block.splitlines()
+        sections[title] = [row.split()[0] for row in rows]
+    assert sections == {
+        "options:": ["-h,", "--config", "--target", "--r-min", "--r-max", "--n-points"],
+        "--target ground:": ["--A", "--B", "--D", "--e-lo", "--e-hi", "--tolerance"],
+        "--target series:": ["--alpha", "--beta", "--kappa", "--lambda", "--epsilon",
+                             "--s-max"],
+    }
+
+
 def test_argv_defaults_to_sys_argv(capsys, monkeypatch):
     monkeypatch.setattr("sys.argv", ["invpower", "asym", "--alpha", "4", "--beta", "6"])
     assert main() == 0
@@ -642,7 +693,9 @@ class TestGrammar:
         with pytest.raises(SystemExit) as info:
             main(["verify", "--help"])
         assert info.value.code == 0
-        lines = capsys.readouterr().out.split("\noptions:\n")[1].splitlines()
+        # each option is indented; blank lines and section titles are not
+        lines = [line for line in capsys.readouterr().out.split("\noptions:\n")[1].splitlines()
+                 if line.startswith("  ")]
         for dest in ("config",) + _COMMANDS["verify"][2]:
             flag = _FLAGS[dest]
             line = next(line for line in lines if line.split()[0] == flag.option)

@@ -234,6 +234,19 @@ def test_fixed_calls_parse_once(argv):
     assert_one_parse(argv)
 
 
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_help_is_the_reference_parsers_help(command, monkeypatch):
+    # argparse wraps at the terminal's width less 2, the CLI at 78
+    monkeypatch.setenv("COLUMNS", "80")
+    reference = reference_parsers()[command]
+    code, out, err = _call([command, "--help"])
+    assert (code, err) == (0, "")
+    if command == "verify":  # its help groups the flags by target; its usage is the same
+        assert out.startswith(reference.format_usage() + "\n")
+    else:
+        assert out == reference.format_help()
+
+
 @pytest.mark.parametrize("value", NEGATIVE_VALUES)
 def test_negative_non_finite_values_are_the_intended_differences(value):
     # argparse's own pattern reads them as options, the CLI as values
