@@ -266,33 +266,45 @@ _TARGETS = {"ground": (_verify_ground, ("A", "B", "D", "e_lo", "e_hi", "toleranc
             "series": (_verify_series, _SERIES)}
 
 
-# every flag once, keyed by dest
-_Flag = namedtuple("_Flag", "option type choices help", defaults=(None, None))
+# every flag once, keyed by dest.  A help of at most 54 characters fits on
+# one line at the 78-column help width, and on its option's line where the
+# option and its metavar take at most 20 (so --tolerance shows TOL)
+_Flag = namedtuple("_Flag", "option type choices help metavar", defaults=(None,) * 3)
 _FLAGS = {
     "config": _Flag("--config", str, help="flat key = value parameter file"),
-    "mass": _Flag("--mass", float),
-    "hbar": _Flag("--hbar", float),
-    "dimension": _Flag("--dimension", int),
-    "angular_momentum": _Flag("--angular-momentum", int),
-    "energy": _Flag("--energy", float),
-    "term": _Flag("--term", float, help="one potential term; repeatable"),
-    "alpha": _Flag("--alpha", float),
-    "beta": _Flag("--beta", float),
-    "kappa": _Flag("--kappa", float),
-    "lam": _Flag("--lambda", float),
-    "epsilon": _Flag("--epsilon", int, (1, -1)),
-    "s_max": _Flag("--s-max", int),
-    "A": _Flag("--A", float),
-    "B": _Flag("--B", float),
-    "C": _Flag("--C", float, help="user-supplied C, reported against required_C"),
-    "D": _Flag("--D", float),
+    "mass": _Flag("--mass", float, help="particle mass m > 0 (required)"),
+    "hbar": _Flag("--hbar", float, help="Planck constant hbar > 0 (required)"),
+    "dimension": _Flag("--dimension", int,
+                       help="space dimension q, an integer >= 2 (required)"),
+    "angular_momentum": _Flag("--angular-momentum", int,
+                              help="angular momentum l, an integer >= 0 (required)"),
+    "energy": _Flag("--energy", float, help="energy E, in the units of U (required)"),
+    "term": _Flag("--term", float, help="one term strength * r^-power of U; repeatable",
+                  metavar=("STRENGTH", "POWER")),
+    "alpha": _Flag("--alpha", float, help="strength alpha > 0 of alpha r^-beta (required)"),
+    "beta": _Flag("--beta", float,
+                  help="power of alpha r^-beta; series: even, >= 4 (required)"),
+    "kappa": _Flag("--kappa", float,
+                   help="reduced energy kappa = 2 m E / hbar^2 > 0 (required)"),
+    "lam": _Flag("--lambda", float, help="lambda = l + (q - 2)/2; default 0"),
+    "epsilon": _Flag("--epsilon", int, (1, -1),
+                     help="sign of exp(i eps sqrt(kappa) r); default 1"),
+    "s_max": _Flag("--s-max", int, help="highest series index; default 40"),
+    "A": _Flag("--A", float, help="strength A > 0 of A r^-4 (required)"),
+    "B": _Flag("--B", float, help="strength of B r^-3; default 0"),
+    "C": _Flag("--C", float, help="strength of C r^-2, checked against required_C"),
+    "D": _Flag("--D", float, help="strength of D r^-1 (required)"),
     "target": _Flag("--target", str, tuple(_TARGETS)),
-    "e_lo": _Flag("--e-lo", float),
-    "e_hi": _Flag("--e-hi", float),
-    "tolerance": _Flag("--tolerance", float),
-    "r_min": _Flag("--r-min", float),
-    "r_max": _Flag("--r-max", float),
-    "n_points": _Flag("--n-points", int),
+    "e_lo": _Flag("--e-lo", float, help="deep end of the energy bracket; default 2 E"),
+    "e_hi": _Flag("--e-hi", float, help="shallow end of the energy bracket; default E/2"),
+    "tolerance": _Flag("--tolerance", float, help="bound on |match_defect|; default 1e-10",
+                       metavar="TOL"),
+    "r_min": _Flag("--r-min", float,
+                   help="first grid radius; default depends on the command"),
+    "r_max": _Flag("--r-max", float,
+                   help="last grid radius; default depends on the command"),
+    "n_points": _Flag("--n-points", int,
+                      help="number of grid points; default depends on the command"),
     "coeff_out": _Flag("--coeff-out", str, help="CSV path for the coefficient table"),
     "wave_out": _Flag("--wave-out", str, help="CSV path for the wavefunction table"),
 }
@@ -349,9 +361,9 @@ def _formatter(command: Optional[str]):
             groups.update({dest: group for dest in dests if dest not in _GRID})
     for dest in ("config",) + _COMMANDS[command][2]:
         flag = _FLAGS[dest]
-        extra = {} if dest != "term" else dict(nargs=2, metavar=("STRENGTH", "POWER"))
         groups.get(dest, parser).add_argument(flag.option, dest=dest, choices=flag.choices,
-                                              help=flag.help, **extra)
+                                              help=flag.help, metavar=flag.metavar,
+                                              nargs=2 if dest == "term" else None)
     return parser
 
 

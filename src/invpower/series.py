@@ -184,44 +184,39 @@ def _check_origin(sol: SeriesSolution, origin: OriginAsymptotics) -> None:
         raise DomainError("origin asymptotics do not match the series potential")
 
 
-def _series_values(sol: SeriesSolution, origin: OriginAsymptotics, r,
-                   derivatives: int):
-    """Radii as an array, r^-delta, the envelope
-    exp(-gamma r^-delta) exp(i eps sqrt(kappa) r), and S = r^omega sigma with
-    its first ``derivatives`` (at most 2) derivatives in r.
+def _series_sums(sol: SeriesSolution, origin: OriginAsymptotics, r):
+    """Radii as an array, and along a last axis the sums
+    Sigma_k = sum_s a_s (w)_k r^(s - s_0), k = 0, 1, 2, with (w)_k the falling
+    factorial w (w - 1) ... (w - k + 1) of w = s + omega and s_0 the lowest
+    index; the k-th derivative of r^omega sigma is r^(s_0 + omega - k) Sigma_k.
 
     The sums are one real product of the powers r^0 ... r^(N-1) with the
-    solution's weight columns; column k weights a_s by the falling factorial
-    w (w - 1) ... (w - k + 1) of its power w.  Summing the terms directly has
-    the same rounding bound as Horner's rule.  Rows k ... 2k-1 of the powers
-    are rows 0 ... k-1 times r^k = (r^(k/2))^2: a few array products, not one
-    pow per element, and none above r^(N-1), which could overflow where the
-    sums do not."""
+    solution's weight columns; summing the terms directly has the same
+    rounding bound as Horner's rule.  Rows k ... 2k-1 of the powers are rows
+    0 ... k-1 times r^k = (r^(k/2))^2: a few array products, not one pow per
+    element, and none above r^(N-1), which could overflow where the sums do
+    not."""
     r = require_radii(r)
     _check_origin(sol, origin)
-    powers, weights = sol._powers, sol._weights[:, :2 * derivatives + 2]
-    r_pow = np.empty((len(powers), r.size))
+    n = len(sol._powers)
+    r_pow = np.empty((n, r.size))
     r_pow[0] = 1.0
     r_pow[1:2] = r.reshape(-1)
     k = 2
-    while k < len(powers):
+    while k < n:
         rows = r_pow[k:2 * k]
         np.multiply(r_pow[:len(rows)], r_pow[k // 2] ** 2, out=rows)
         k *= 2
-    sums = (r_pow.T @ weights).view(complex).reshape(r.shape + (derivatives + 1,))
-    base = r ** powers[0]
-    r_delta = r ** (-origin.delta)
-    envelope = np.exp(-origin.gamma * r_delta
-                      + 1j * sol.config.epsilon * math.sqrt(sol.config.kappa) * r)
-    return r, r_delta, envelope, [base * sums[..., 0]] + [base * sums[..., k] / r**k
-                                                          for k in range(1, derivatives + 1)]
+    return r, (r_pow.T @ sol._weights).view(complex).reshape(r.shape + (3,))
 
 
 def evaluate_solution(sol: SeriesSolution, origin: OriginAsymptotics, r):
     """Full solution y(r) = exp(-gamma r^-delta) exp(i eps r sqrt(kappa)) r^omega sigma(r)
     at finite positive radii; a scalar r gives a complex."""
-    _, _, envelope, (s0,) = _series_values(sol, origin, r, 0)
-    y = envelope * s0
+    r, sums = _series_sums(sol, origin, r)
+    envelope = np.exp(-origin.gamma * r ** (-origin.delta)
+                      + 1j * sol.config.epsilon * math.sqrt(sol.config.kappa) * r)
+    y = envelope * (r ** sol._powers[0] * sums[..., 0])
     return y if y.ndim else complex(y)
 
 
@@ -230,21 +225,24 @@ def ode_residual(sol: SeriesSolution, origin: OriginAsymptotics, r):
 
     Returns |y'' + f y| / max(|y''|, |f y|) <= 2, or 0 where both vanish,
     with f = kappa - alpha r^-beta - (lam^2 - 1/4)/r^2 and y'' from term-by-
-    term analytic differentiation of the closed-form factors.  Since
-    beta = 2 delta + 2, the powers r^(-delta-1), r^(-delta-2) and r^-beta
-    come from the envelope's r^-delta and 1/r by products alone.  Radii must
-    be finite and positive; a scalar r gives a float.
+    term analytic differentiation of the closed-form factors.  Both terms
+    are taken times r^2 / (envelope r^(s_0 + omega)), a common factor that
+    cancels in the ratio, so the residual means the same where y underflows.
+    With t = r^-delta, r g1 = gamma delta t + i eps sqrt(kappa) r and
+    r^(2 - beta) = t^2 they read
+
+        Sigma_2 + 2 (r g1) Sigma_1 + ((r g1)^2 - gamma delta (delta + 1) t) Sigma_0,
+        (kappa r^2 - alpha t^2 - (lam^2 - 1/4)) Sigma_0.
+
+    Radii must be finite and positive; a scalar r gives a float.
     """
-    r, r_delta, envelope, (s0, s1, s2) = _series_values(sol, origin, r, 2)
-    cfg = sol.config
-    gamma, delta = origin.gamma, origin.delta
-    inv_r = 1.0 / r
-    r_d1 = r_delta * inv_r  # r^(-delta-1); its square is r^-beta
-    g1 = gamma * delta * r_d1 + 1j * cfg.epsilon * math.sqrt(cfg.kappa)
-    g2 = -gamma * delta * (delta + 1.0) * (r_d1 * inv_r)
-    y = envelope * s0
-    ypp = envelope * (s2 + 2.0 * g1 * s1 + (g2 + g1 * g1) * s0)
-    f = cfg.kappa - cfg.pot.alpha * (r_d1 * r_d1) - (cfg.lam**2 - 0.25) / r**2
-    scale = np.maximum(np.abs(ypp), np.abs(f * y))
-    res = np.abs(ypp + f * y) / np.where(scale > 0.0, scale, 1.0)
+    r, sums = _series_sums(sol, origin, r)
+    s0, s1, s2 = np.moveaxis(sums, -1, 0)
+    cfg, gamma, delta = sol.config, origin.gamma, origin.delta
+    t = r ** (-delta)
+    rg1 = gamma * delta * t + 1j * cfg.epsilon * math.sqrt(cfg.kappa) * r
+    ypp = s2 + 2.0 * rg1 * s1 + (rg1 * rg1 - gamma * delta * (delta + 1.0) * t) * s0
+    fy = (cfg.kappa * (r * r) - cfg.pot.alpha * (t * t) - (cfg.lam**2 - 0.25)) * s0
+    scale = np.maximum(np.abs(ypp), np.abs(fy))
+    res = np.abs(ypp + fy) / np.where(scale > 0.0, scale, 1.0)
     return res if res.ndim else float(res)

@@ -127,6 +127,14 @@ def test_series_artifacts_round_trip(capsys, tmp_path):
     assert wave_rows[0][3] == pytest.approx(res[0], rel=1e-12)
 
 
+def test_series_residual_where_y_underflows(capsys):
+    # y = 1.0e-322 at r = 0.0862, where the envelope is subnormal; the
+    # largest residual, 1.4e-12, is at r = 0.2
+    payload = run_json(capsys, "series", "--alpha", "2", "--beta", "8", "--kappa", "1",
+                       "--lambda", "0.5", "--s-max", "16")
+    assert payload["max_residual"] <= 1e-10
+
+
 def test_series_odd_beta_exit(capsys):
     code, out, err = run(capsys, "series", "--alpha", "1", "--beta", "5",
                          "--kappa", "1")
@@ -700,3 +708,10 @@ class TestGrammar:
             flag = _FLAGS[dest]
             line = next(line for line in lines if line.split()[0] == flag.option)
             assert flag.help is None or line.endswith(flag.help), line
+
+    def test_every_flag_has_a_one_line_help(self):
+        # --target's choices name the targets; every other flag says what it
+        # takes in at most 54 characters, the help column at 78 columns
+        for dest, flag in _FLAGS.items():
+            assert (flag.help is None) == (dest == "target"), dest
+            assert len(flag.help or "") <= 54, dest

@@ -139,10 +139,9 @@ def reference_parsers(negative=ARGPARSE_NEGATIVE + "|^(" + "|".join(NEGATIVE_VAL
         parser = parsers[name] = _ReferenceParser(prog=f"invpower {name}", negative=negative)
         for dest in ("config",) + dests:
             flag = _FLAGS[dest]
-            extra = {} if dest != "term" else dict(
-                nargs=2, action="append", metavar=("STRENGTH", "POWER"))
+            extra = {} if dest != "term" else dict(nargs=2, action="append")
             parser.add_argument(flag.option, dest=dest, type=flag.type, choices=flag.choices,
-                                help=flag.help, **extra)
+                                help=flag.help, metavar=flag.metavar, **extra)
     return parsers
 
 

@@ -273,8 +273,8 @@ def test_windowed_wide_window_is_scaled_one_sided(s_min, s_max):
 
 
 def interleaved_sums_reference(sol, r):
-    """S, S' and S'' as three Horner chains advanced together in one loop
-    over the coefficients, from the most negative power upward."""
+    """Sigma_0, Sigma_1 and Sigma_2 as three Horner chains advanced together
+    in one loop over the coefficients, from the most negative power upward."""
     items = sorted(sol.coefficients.items())
     powers = np.array([s for s, _ in items], dtype=float) + sol.omega
     coeffs = np.array([c for _, c in items], dtype=complex)
@@ -283,8 +283,7 @@ def interleaved_sums_reference(sol, r):
         s0 = s0 * r + c
         s1 = s1 * r + c * w
         s2 = s2 * r + c * w * (w - 1.0)
-    base = r ** powers[0]
-    return base * s0, base * s1 / r, base * s2 / r**2
+    return s0, s1, s2
 
 
 @pytest.mark.parametrize("beta, s_max", [(4.0, 8), (6.0, 40), (10.0, 25), (8.0, 64), (4.0, 80)])
@@ -295,12 +294,12 @@ def test_sigma_sums_match_interleaved_reference(beta, s_max):
     origin = origin_params(sol.config.pot)
     r = np.linspace(0.03, 0.6, 97)
     reference = interleaved_sums_reference(sol, r)
-    _, _, envelope, sums = series._series_values(sol, origin, r, 2)
-    for got, want in zip(sums, reference):
+    _, sums = series._series_sums(sol, origin, r)
+    for got, want in zip(np.moveaxis(sums, -1, 0), reference):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
     sqk = math.sqrt(sol.config.kappa)
     y = (np.exp(-origin.gamma * r ** (-origin.delta))
-         * np.exp(1j * sol.config.epsilon * sqk * r) * reference[0])
+         * np.exp(1j * sol.config.epsilon * sqk * r) * (r ** sol.omega * reference[0]))
     np.testing.assert_allclose(evaluate_solution(sol, origin, r), y, rtol=1e-13, atol=0.0)
 
 
@@ -309,8 +308,8 @@ def test_power_matrix_on_many_radii(beta, s_max):
     # the powers come from repeated squaring, not one pow per element
     sol = build_series(desk_config(beta=beta, s_max=s_max))
     r = np.geomspace(0.05, 0.2, 4000)
-    _, _, _, sums = series._series_values(sol, origin_params(sol.config.pot), r, 2)
-    for got, want in zip(sums, interleaved_sums_reference(sol, r)):
+    _, sums = series._series_sums(sol, origin_params(sol.config.pot), r)
+    for got, want in zip(np.moveaxis(sums, -1, 0), interleaved_sums_reference(sol, r)):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
@@ -425,15 +424,16 @@ class TestOdeResidual:
         assert ode_residual(sol, origin_params(config.pot), 1.0) == 0.0
 
     def test_beta4_exact_form_small_r(self):
-        # single-term series is the exact near-origin form; the residual is
-        # dominated by the neglected kappa and centrifugal terms
-        config = desk_config(beta=4.0, lam=0.5, s_max=8)
-        sol = manual_solution({0: 1.0}, config)
-        origin = origin_params(config.pot)
-        r = 1e-3
-        y = abs(evaluate_solution(sol, origin, r))
-        bound = (abs(config.kappa) + abs(config.lam**2 - 0.25) / r**2) * y
-        assert ode_residual(sol, origin, r) <= 3.0 * bound + 1e-250
+        # the single-term series is the exact near-origin form.  With a_1 = 0
+        # the row that defines a_1 is left at 2 i eps sqrt(alpha kappa) -
+        # (lam^2 - 1/4), against the alpha r^-beta term: y underflows
+        # (e^-1000 at r = 1e-3), the residual does not
+        cfg = desk_config(beta=4.0, lam=0.5, s_max=8)
+        sol = manual_solution({0: 1.0}, cfg)
+        row = abs(2j * cfg.epsilon * math.sqrt(cfg.pot.alpha * cfg.kappa) - (cfg.lam**2 - 0.25))
+        for r in (1e-3, 1e-2):
+            assert ode_residual(sol, origin_params(cfg.pot), r) == pytest.approx(
+                r**2 * row / cfg.pot.alpha, rel=0.1)
 
     def test_residual_tiny_near_origin(self):
         sol = build_series(desk_config(s_max=40))
@@ -453,21 +453,32 @@ class TestOdeResidual:
     @pytest.mark.parametrize("beta, lam, eps", [(4.0, 0.5, 1), (4.0, 1.5, -1), (6.0, 0.0, -1),
                                                 (6.0, 1.0, 1), (8.0, 1.5, 1)])
     def test_matches_the_three_power_formula(self, beta, lam, eps):
-        # r^(-delta-1), r^(-delta-2) and r^-beta come from r^-delta and 1/r;
-        # the same residual with each taken as its own power
+        # the residual is formed times r^2 from r^-delta alone; the same
+        # residual of y / envelope, the envelope being a common factor of
+        # y'' and f y, with r^(-delta-1), r^(-delta-2) and r^-beta each
+        # taken as its own power
         sol = build_series(desk_config(beta=beta, lam=lam, eps=eps, s_max=40))
         origin = origin_params(sol.config.pot)
         r = np.geomspace(0.05, 0.2, 4000)
-        _, _, envelope, (s0, s1, s2) = series._series_values(sol, origin, r, 2)
+        _, sums = series._series_sums(sol, origin, r)
+        s0, s1, s2 = (r ** (sol.omega - k) * sums[:, k] for k in range(3))
         cfg, gamma, delta = sol.config, origin.gamma, origin.delta
         g1 = gamma * delta * r ** (-delta - 1.0) + 1j * eps * math.sqrt(cfg.kappa)
         g2 = -gamma * delta * (delta + 1.0) * r ** (-delta - 2.0)
-        y = envelope * s0
-        ypp = envelope * (s2 + 2.0 * g1 * s1 + (g2 + g1 * g1) * s0)
+        ypp = s2 + 2.0 * g1 * s1 + (g2 + g1 * g1) * s0
         f = cfg.kappa - cfg.pot.alpha * r ** (-beta) - (lam**2 - 0.25) / r**2
-        scale = np.maximum(np.abs(ypp), np.abs(f * y))  # 0 where y underflows
-        want = np.abs(ypp + f * y) / np.where(scale > 0.0, scale, 1.0)
+        want = np.abs(ypp + f * s0) / np.maximum(np.abs(ypp), np.abs(f * s0))
         np.testing.assert_allclose(ode_residual(sol, origin, r), want, rtol=0.0, atol=1e-14)
+
+    def test_meaningful_where_the_envelope_underflows(self):
+        # exp(-gamma r^-delta) is subnormal or 0 at 1 275 of these radii;
+        # the residual does not depend on it
+        sol = build_series(desk_config(beta=8.0, lam=1.5, s_max=40))
+        origin = origin_params(sol.config.pot)
+        r = np.geomspace(0.05, 0.2, 4000)
+        under = np.exp(-origin.gamma * r ** (-origin.delta)) < np.finfo(float).tiny
+        assert np.count_nonzero(under) == 1275
+        assert np.max(ode_residual(sol, origin, r[under])) <= 1e-14
 
     def test_asymptotic_divergence_outside_validity_region(self):
         # the coefficients grow factorially: far from the origin the
