@@ -281,6 +281,10 @@ _FLAGS = {
     "energy": _Flag("--energy", float, help="energy E, in the units of U (required)"),
     "term": _Flag("--term", float, help="one term strength * r^-power of U; repeatable",
                   metavar=("STRENGTH", "POWER")),
+    "A": _Flag("--A", float, help="strength A > 0 of A r^-4 (required)"),
+    "B": _Flag("--B", float, help="strength of B r^-3; default 0"),
+    "C": _Flag("--C", float, help="strength of C r^-2, checked against required_C"),
+    "D": _Flag("--D", float, help="strength of D r^-1 (required)"),
     "alpha": _Flag("--alpha", float, help="strength alpha > 0 of alpha r^-beta (required)"),
     "beta": _Flag("--beta", float,
                   help="power of alpha r^-beta; series: even, >= 4 (required)"),
@@ -290,10 +294,6 @@ _FLAGS = {
     "epsilon": _Flag("--epsilon", int, (1, -1),
                      help="sign of exp(i eps sqrt(kappa) r); default 1"),
     "s_max": _Flag("--s-max", int, help="highest series index; default 40"),
-    "A": _Flag("--A", float, help="strength A > 0 of A r^-4 (required)"),
-    "B": _Flag("--B", float, help="strength of B r^-3; default 0"),
-    "C": _Flag("--C", float, help="strength of C r^-2, checked against required_C"),
-    "D": _Flag("--D", float, help="strength of D r^-1 (required)"),
     "target": _Flag("--target", str, tuple(_TARGETS)),
     "e_lo": _Flag("--e-lo", float, help="deep end of the energy bracket; default 2 E"),
     "e_hi": _Flag("--e-hi", float, help="shallow end of the energy bracket; default E/2"),
@@ -319,9 +319,10 @@ _COMMANDS = {
                _SERIES + ("coeff_out", "wave_out")),
     "ground": (_cmd_ground, "closed-form ground state for the 4-term potential",
                ("A", "B", "C", "D", "wave_out") + _GRID),
+    # each flag of a target once, in _FLAGS order: the order of its usage line
     "verify": (None, "cross-check analytic results with the oracle",
-               ("target", "A", "B", "D", "alpha", "beta", "kappa", "lam", "epsilon",
-                "s_max", "e_lo", "e_hi", "tolerance") + _GRID),
+               ("target",) + tuple(d for d in _FLAGS
+                                   if any(d in dests for _, dests in _TARGETS.values()))),
 }
 
 
@@ -372,7 +373,7 @@ def _stop(command: Optional[str], message: Optional[str] = None, argv=()):
     every option of ``argv`` before it acts on any, so an ambiguous option
     is reported first."""
     for token in argv[1:]:
-        _match(_parser()[command], token, command)
+        _match(build_parser()[command], token, command)
     parser = _formatter(command)
     if message is None:
         parser.print_help()
@@ -394,29 +395,25 @@ def _match(options: dict, token: str, command: Optional[str]) -> Optional[str]:
     return matches[0] if matches else None
 
 
+@functools.cache
 def build_parser() -> dict:
     """Each command's option table, option string to dest, in help order:
     -h and --help (dest None), --config, then the command's flags.  The
-    top level's, under None, holds -h, --help and --version."""
+    top level's, under None, holds -h, --help and --version.  Built on the
+    first call rather than at import."""
     return {None: dict.fromkeys(("-h", "--help", "--version")),
             **{name: {"-h": None, "--help": None,
                       **{_FLAGS[d].option: d for d in ("config",) + dests}}
                for name, (_, _, dests) in _COMMANDS.items()}}
 
 
-@functools.cache
-def _parser() -> dict:
-    """The option tables, built on the first call rather than at import."""
-    return build_parser()
-
-
 def _parse(argv: Sequence[str]) -> dict:
-    """Each dest of the command that ``argv`` starts with, None if the call
-    leaves it out.  Each option takes its value from '=value' or the next
-    token (--term: two, appended); a token that starts with '--' is never a
-    value.  Help, the version and usage errors exit here."""
+    """The dests that ``argv`` sets for the command it starts with, in the
+    order it first sets them.  Each option takes its value from '=value' or
+    the next token (--term: two, appended); a token that starts with '--' is
+    never a value.  Help, the version and usage errors exit here."""
     if not argv or argv[0] not in _COMMANDS:  # help, the version or an error
-        option = _match(_parser()[None], argv[0], None) if argv else None
+        option = _match(build_parser()[None], argv[0], None) if argv else None
         if option == "--version":
             print(__version__)
             raise SystemExit(0)
@@ -424,9 +421,8 @@ def _parse(argv: Sequence[str]) -> dict:
             _stop(None, f"argument command: invalid choice: {argv[0]!r} "
                         f"(choose from {', '.join(map(repr, _COMMANDS))})")
         _stop(None, None if option else "the following arguments are required: command")
-    command, options = argv[0], _parser()[argv[0]]
-    args = dict.fromkeys(("config",) + _COMMANDS[command][2])
-    extras, i = [], 1
+    command, options = argv[0], build_parser()[argv[0]]
+    args, extras, i = {}, [], 1
     while i < len(argv):
         token = argv[i]
         i += 1
@@ -456,7 +452,7 @@ def _parse(argv: Sequence[str]) -> dict:
             if count == 1:
                 args[dest] = _convert(flag, values[0])
             else:
-                args[dest] = (args[dest] or []) + [[_convert(flag, v) for v in values]]
+                args[dest] = args.get(dest, []) + [[_convert(flag, v) for v in values]]
         except ValueError as exc:
             _stop(command, f"argument {flag.option}: {exc}", argv)
     if extras:
@@ -466,17 +462,15 @@ def _parse(argv: Sequence[str]) -> dict:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parse(argv)
+    parsed = _parse(argv)
     handler, _, dests = _COMMANDS[argv[0]]
     try:
         # explicit flags win over config-file values, which win over defaults
-        args = {**_load_config(args.pop("config"), dests),
-                **{dest: value for dest, value in args.items() if value is not None}}
+        args = {**_load_config(parsed.pop("config", None), dests), **parsed}
         if handler is None:  # verify runs its target, and argv may set only its flags
             handler, dests = _TARGETS[args.setdefault("target", "ground")]
-            for token in argv[1:]:  # each option in argv order; a value names none, or -h
-                dest = _parser()["verify"].get(_match(_parser()["verify"], token, "verify"))
-                if dest not in (None, "config", "target") + dests:
+            for dest in parsed:  # in argv order
+                if dest not in ("target",) + dests:
                     _stop("verify", f"argument {_FLAGS[dest].option}: "
                                     f"not allowed with --target {args['target']}")
         # overflow is reported by the validators and _emit, not as warnings

@@ -89,6 +89,7 @@ def evaluate_ground_state(sol: GroundStateSolution, r):
 
 def constraint_mismatch(A: float, B: float, C: float, D: float) -> float:
     """User-supplied C minus the value the closed-form construction requires."""
+    require_finite(C=C)
     return C - solve_ground_state(A, B, D).required_C
 
 
@@ -107,6 +108,8 @@ def ground_state_residual(sol: GroundStateSolution, A: float, B: float,
     double rounding count as exact, so the residual reflects genuine
     parameter inconsistencies (wrong C or E) rather than one-ulp noise.
     """
+    # an infinite coefficient would pass _snap's test inf <= guard * inf
+    require_finite(A=A, B=B, C=C, D=D, E=E)
     r = require_radii(r)
     a, b, c = sol.a, sol.linear_slope_b, sol.c
     # k'' + k'^2 = a^2/r^4 + 2a(1-c)/r^3 + (c(c-1) - 2ab)/r^2 + 2bc/r + b^2

@@ -360,6 +360,7 @@ def shoot_ground_energy(terms: PotentialTerms, bracket: Tuple[float, float],
     if tolerance <= 0.0:
         raise DomainError("tolerance must be positive")
     e_lo, e_hi = bracket
+    require_finite(e_lo=e_lo, e_hi=e_hi)
     if not (e_lo < e_hi < 0.0):
         raise DomainError("bracket must satisfy E_lo < E_hi < 0")
     r = grid.nodes()

@@ -198,6 +198,15 @@ def test_verify_ground_fail_exit_code(capsys):
     assert "bracket" in err.lower()
 
 
+def test_verify_ground_rejects_an_infinite_bracket_end(capsys):
+    # -inf < E_hi < 0 holds, so the bracket rule alone would pass it on to the
+    # grid check
+    code, out, err = run(capsys, "verify", "--target", "ground", "--A", "1", "--B", "2",
+                         "--D", "-4", "--e-lo", "-inf")
+    assert (code, out) == (1, "")
+    assert "e_lo must be finite" in err
+
+
 @pytest.mark.parametrize("tolerance", ["0", "-1"])
 def test_verify_ground_rejects_a_tolerance_that_cannot_pass(capsys, tolerance):
     # |match_defect| <= tolerance never holds, so the shoot would run to the
@@ -371,6 +380,24 @@ def test_verify_flags_are_the_targets_flags():
     flags = _COMMANDS["verify"][2]
     assert len(set(flags)) == len(flags)
     assert set(flags) == {"target"}.union(*(dests for _, dests in cli._TARGETS.values()))
+    # the order of the usage line and of an ambiguous prefix's matches
+    assert flags == ("target", "A", "B", "D", "alpha", "beta", "kappa", "lam", "epsilon",
+                     "s_max", "e_lo", "e_hi", "tolerance", "r_min", "r_max", "n_points")
+
+
+def test_verify_help_usage_block(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith(
+        "usage: invpower verify [-h] [--config CONFIG] [--target {ground,series}]\n"
+        "                       [--A A] [--B B] [--D D] [--alpha ALPHA] [--beta BETA]\n"
+        "                       [--kappa KAPPA] [--lambda LAM] [--epsilon {1,-1}]\n"
+        "                       [--s-max S_MAX] [--e-lo E_LO] [--e-hi E_HI]\n"
+        "                       [--tolerance TOL] [--r-min R_MIN] [--r-max R_MAX]\n"
+        "                       [--n-points N_POINTS]\n"
+        "\n"
+        "options:\n")
 
 
 def test_target_choices_are_the_targets_table(capsys):

@@ -146,23 +146,27 @@ def reference_parsers(negative=ARGPARSE_NEGATIVE + "|^(" + "|".join(NEGATIVE_VAL
 
 
 def _outcome(parse, argv):
-    """What ``parse`` makes of ``argv``: each dest's value as text (NaN is
-    not equal to itself), or the exit code and the ``error:`` line."""
+    """What ``parse`` makes of ``argv``: the dests it sets and their values,
+    sorted, as text (NaN is not equal to itself), or the exit code and the
+    ``error:`` line."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         try:
-            return repr(parse(argv))
+            return repr(sorted(parse(argv).items()))
         except SystemExit as exc:
             return exc.code, err.getvalue().splitlines()[-1]
 
 
 def _reference_parse(argv, parsers):
-    return vars(parsers[argv[0]].parse_args(argv[1:]))
+    """The dests that argparse sets; it gives every other dest None."""
+    return {dest: value for dest, value in vars(parsers[argv[0]].parse_args(argv[1:])).items()
+            if value is not None}
 
 
 def assert_one_parse(argv):
     """The CLI's parser reads ``argv`` as the argparse reference does: the
-    same value for every dest, or exit 1 with the same error line."""
+    same dests set, each to the same value, or exit 1 with the same error
+    line."""
     expected = _outcome(lambda a: _reference_parse(a, reference_parsers()), argv)
     assert _outcome(_parse, argv) == expected, argv
     if isinstance(expected, tuple):

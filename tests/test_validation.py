@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from invpower import (Direction, DomainError, PotentialMonomial, RadialGrid,
-                      SeriesConfig, Spacing, build_series, evaluate_ground_state,
-                      evaluate_solution, evaluate_terms, ground_state_residual,
-                      integrate_radial, ode_residual, origin_params,
-                      shoot_ground_energy, solve_ground_state)
+                      SeriesConfig, Spacing, build_series, constraint_mismatch,
+                      evaluate_ground_state, evaluate_solution, evaluate_terms,
+                      ground_state_residual, integrate_radial, ode_residual,
+                      origin_params, shoot_ground_energy, solve_ground_state)
 
 _SERIES = build_series(SeriesConfig(pot=PotentialMonomial(1.0, 6.0), kappa=1.0,
                                     lam=0.5, epsilon=1, s_max=10))
@@ -80,3 +80,29 @@ def test_shoot_rejects_a_tolerance_it_cannot_meet_or_check(tolerance):
     grid = RadialGrid(0.08, 50.0, 2_000, Spacing.LOG)
     with pytest.raises(DomainError, match="tolerance"):
         shoot_ground_energy(terms, (-2.0, -0.5), grid, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("bracket", [(-math.inf, -0.5), (math.nan, -0.5), (-2.0, math.nan)],
+                         ids=["e_lo-inf", "e_lo-nan", "e_hi-nan"])
+def test_shoot_rejects_a_non_finite_bracket_end(bracket):
+    # -inf < E_hi < 0 holds, so the bracket rule alone would let E_lo = -inf
+    # reach the sweep, which would blame the grid
+    terms = ((1.0, 4.0), (2.0, 3.0), (0.25, 2.0), (-4.0, 1.0))
+    grid = RadialGrid(0.08, 50.0, 2_000, Spacing.LOG)
+    name = "e_lo" if not math.isfinite(bracket[0]) else "e_hi"
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        shoot_ground_energy(terms, bracket, grid)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["A", "B", "C", "D", "E"])
+def test_ground_state_checks_reject_non_finite_coefficients(name, bad):
+    # inf <= guard * inf holds, so unchecked an infinite coefficient reads as
+    # an exact fit (residual 0); NaN gives a NaN residual and mismatch
+    coefficients = dict(A=1.0, B=2.0, C=_GROUND.required_C, D=-4.0, E=_GROUND.energy)
+    coefficients[name] = bad
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        ground_state_residual(_GROUND, r=np.array([0.5, 1.0, 2.0]), **coefficients)
+    if name == "C":
+        with pytest.raises(DomainError, match="^C must be finite"):
+            constraint_mismatch(1.0, 2.0, bad, -4.0)
