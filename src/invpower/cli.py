@@ -29,7 +29,7 @@ from .reduction import QuantumSetup, reduce_problem
 from .series import SeriesConfig, build_series, evaluate_solution, ode_residual
 
 _USER_ERRORS = (DomainError, ConfigurationError, DegenerateC, NotNormalizable,
-                BracketError, NoConvergence, IntegrationDiverged, OSError)
+                BracketError, NoConvergence, IntegrationDiverged, OSError, MemoryError)
 
 
 def _emit(payload: dict, tables) -> None:
@@ -208,9 +208,12 @@ def _verify_ground(args):
     e_hi = args.get("e_hi", 0.5 * sol.energy)
     # the inward seed exp(-sqrt(-E) r) stands for the decaying tail, so the
     # grid reaches out to sqrt(-E) r_max = 35 for the shallowest energy in
-    # the bracket (shoot_ground_energy rejects e_hi >= 0)
+    # the bracket (shoot_ground_energy rejects e_hi >= 0); the outward seed
+    # exp(-sqrt(A) / r) lets in exp(-2 sqrt(A) / r_min) <= e^-40 of the
+    # solution that grows toward the origin
     r_max = max(14.0, 35.0 / math.sqrt(-e_hi)) if e_hi < 0.0 else 14.0
-    grid = _grid_from(args, r_min=0.08, r_max=r_max, n=2000, spacing=Spacing.LOG)
+    r_min = min(0.08, math.sqrt(args["A"]) / 20.0)
+    grid = _grid_from(args, r_min=r_min, r_max=r_max, n=2000, spacing=Spacing.LOG)
     tolerance = args.get("tolerance", 1e-10)
     result = shoot_ground_energy(terms, (e_lo, e_hi), grid, tolerance=tolerance)
     rel_err = abs(result.energy - sol.energy) / abs(sol.energy)
@@ -482,7 +485,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 payload = {"status": "fail" if failures else "pass", **payload}
             _emit(payload, tables)
     except _USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     if failures:
         print("fail: " + "; ".join(failures), file=sys.stderr)

@@ -14,7 +14,8 @@ class ConfigurationError(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """An iterative or least-squares procedure did not reach its tolerance."""
+    """A solver gave up: the shoot's root finder exhausted its iteration
+    budget, or a series coefficient overflowed."""
 
 
 class DegenerateC(ValueError):

@@ -308,26 +308,22 @@ def _sign_changes(u: np.ndarray) -> int:
     return int(np.count_nonzero(np.sign(u[:-1]) * np.sign(u[1:]) < 0.0))
 
 
-def _matching_defect(x: np.ndarray, g: np.ndarray, w: np.ndarray,
-                     scale: np.ndarray, r: np.ndarray, imatch: int,
-                     inner_decay: float, energy: float) -> tuple:
-    """Normalized Wronskian, in x, of the outward and inward sweeps of
-    u'' = g u at the match node, which is sin Delta for the angle Delta
-    between their (u, u'); Delta; its slope S = -dDelta/dE; the sweeps'
-    rescales; and the sweeps on either side of the match node, each divided
-    by the length of its (u, u') there.  The Wronskian in x has the same
-    zeros as the one in r.  Both sweeps go through one kernel call.  With
-    dg/dE = -w, S is the trapezoid sum of w u^2 over both normalized sweeps,
-    halved at the match node.  Seeds are the generic decay forms
-    exp(-inner_decay / r) at the origin and exp(-sqrt(-E) r) at infinity,
-    never the closed-form wavefunction.
+def _matching_defect(x: np.ndarray, g: np.ndarray, w: np.ndarray, imatch: int,
+                     inner: Tuple[float, float], outer: Tuple[float, float]) -> tuple:
+    """Normalized Wronskian, in x, of the sweeps of u'' = g u outward from
+    the seed pair ``inner`` and inward from ``outer``, at the match node,
+    which is sin Delta for the angle Delta between their (u, u'); Delta;
+    its slope S = -dDelta/dE; the sweeps' rescales; and the sweeps on
+    either side of the match node, each divided by the length of its
+    (u, u') there.  The Wronskian in x has the same zeros as the one in r.
+    Both sweeps go through one kernel call.  With dg/dE = -w, S is the
+    trapezoid sum of w u^2 over both normalized sweeps, halved at the
+    match node.
     """
-    h, decay = x[1] - x[0], math.sqrt(-energy)
+    h = x[1] - x[0]
     (out, rev), rescales = _numerov([
-        (x[: imatch + 3], g[: imatch + 3],
-         math.exp(inner_decay * (1.0 / r[1] - 1.0 / r[0])) / scale[0], 1.0 / scale[1]),
-        (x[imatch - 2:][::-1], g[imatch - 2:][::-1],
-         math.exp(-decay * (r[-1] - r[-2])) / scale[-1], 1.0 / scale[-2]),
+        (x[: imatch + 3], g[: imatch + 3], *inner),
+        (x[imatch - 2:][::-1], g[imatch - 2:][::-1], *outer),
     ], raise_on_overflow=False)
     inn = rev[::-1]  # inn[k] is the inward solution at x[imatch - 2 + k]
     d_out = (-out[imatch + 2] + 8.0 * out[imatch + 1]
@@ -354,7 +350,10 @@ def shoot_ground_energy(terms: PotentialTerms, bracket: Tuple[float, float],
     The bracket must satisfy E_lo < E_hi < 0 and contain a sign change of
     the defect; the match node sits at the minimum of the effective
     potential.  The result is converged when |defect| <= tolerance.  The
-    grid must reach far enough out that exp(-sqrt(-E) r_max) is negligible.
+    seeds are the generic decay forms exp(-sqrt(A) / r), A the r^-4
+    strength, and exp(-sqrt(-E) r), never the closed-form wavefunction; so
+    the grid ends must make exp(-2 sqrt(A) / r_min) and exp(-sqrt(-E) r_max)
+    negligible.
     """
     require_finite(tolerance=tolerance)
     if tolerance <= 0.0:
@@ -370,14 +369,14 @@ def shoot_ground_energy(terms: PotentialTerms, bracket: Tuple[float, float],
     a4 = term_with_power(terms, 4.0)
     if a4 <= 0.0:
         raise DomainError("shooting seeds need a repulsive r^-4 term")
-    inner_decay = math.sqrt(a4)
+    inner = (math.exp(math.sqrt(a4) * (1.0 / r[1] - 1.0 / r[0])) / scale[0], 1.0 / scale[1])
     g0 = w * f0 + c
 
     trace = []
 
     def defect(energy: float):
-        result = _matching_defect(x, g0 - energy * w, w, scale, r, imatch,
-                                  inner_decay, energy)
+        outer = (math.exp(-math.sqrt(-energy) * (r[-1] - r[-2])) / scale[-1], 1.0 / scale[-2])
+        result = _matching_defect(x, g0 - energy * w, w, imatch, inner, outer)
         trace.append((energy, result[0]))
         return result
 

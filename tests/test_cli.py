@@ -144,7 +144,8 @@ def test_series_odd_beta_exit(capsys):
 
 def test_config_file_merging(capsys, tmp_path):
     config = tmp_path / "params.cfg"
-    config.write_text("alpha = 4\nbeta = 6\n")
+    # blank and comment lines are skipped
+    config.write_text("# near-origin parameters\n\nalpha = 4\n   \n  # beta next\nbeta = 6\n")
     payload = run_json(capsys, "asym", "--config", str(config))
     assert payload["gamma"] == 1.0
     assert payload["delta"] == 2.0
@@ -174,6 +175,15 @@ def test_verify_ground_shallow_state_on_defaults(capsys):
     assert payload["relative_energy_error"] <= 1e-9
     assert payload["nodes"] == 0
     assert payload["evaluations"] == payload["iterations"] + 2
+
+
+def test_verify_ground_small_A_on_defaults(capsys):
+    # A = 0.51: at r_min = 0.08 the solution that grows toward the origin
+    # would enter at exp(-2 sqrt(A) / r_min) = 2e-8
+    payload = run_json(capsys, "verify", "--target", "ground", "--A", "0.5113450782424802",
+                       "--B", "0.37712470909883766", "--D", "-4.130268603638953")
+    assert payload["status"] == "pass"
+    assert payload["relative_energy_error"] <= 1e-10
 
 
 def test_verify_ground_names_the_failed_checks(capsys):
@@ -586,6 +596,22 @@ def test_overflow_prints_only_the_error_line(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc", [
+    MemoryError("Unable to allocate 3.73 GiB for an array with shape (500000000,)"),
+    MemoryError()], ids=["numpy", "bare"])
+def test_out_of_memory_prints_only_the_error_line(capsys, monkeypatch, exc):
+    # a real allocation that large could be granted lazily and kill the process
+    def handler(args):
+        raise exc
+
+    monkeypatch.setitem(cli._TARGETS, "series", (handler, cli._TARGETS["series"][1]))
+    code, out, err = run(capsys, "verify", "--target", "series", "--alpha", "1",
+                         "--beta", "6", "--kappa", "1", "--n-points", "100000000")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {str(exc) or 'MemoryError'}\n"
 
 
 def test_config_key_of_another_subcommands_flag_ignored(capsys, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from invpower import oracle
 from invpower import (BracketError, Direction, DomainError,
-                      IntegrationDiverged, RadialGrid, Spacing,
+                      IntegrationDiverged, NoConvergence, RadialGrid, Spacing,
                       evaluate_ground_state, evaluate_terms,
                       finite_difference_residual,
                       integrate_radial, shoot_ground_energy,
@@ -220,6 +220,18 @@ def test_numerov_counts_rescales():
     _assert_close(u, _numerov_reference(x, g, 1.0, 1.1), 1e-12)
 
 
+def test_numerov_reports_the_last_finite_node():
+    # h^2 g / 12 = 0.7: u grows about 30-fold per step, 1e84 over a block
+    # of 57 steps, which passes the float range above the rescale limit; so
+    # the first bad node is not finite, and the one before it is reported
+    x = np.linspace(0.0, 1.0, 20_000)
+    g = np.full(x.size, 0.7 * 12.0 / (x[1] - x[0]) ** 2)
+    with np.errstate(all="ignore"), pytest.raises(IntegrationDiverged) as exc:
+        oracle._numerov([(x, g, 1.0, 1.1)], raise_on_overflow=False)
+    assert exc.value.last_index == 4103
+    assert exc.value.last_r == x[4103]
+
+
 def test_numerov_rejects_sign_flipping_steps():
     # h^2 g / 12 = 1.5 at one node of the second sweep: there b = -0.5, and
     # a step through it would flip the sign of u and count a false node
@@ -306,6 +318,19 @@ class TestShooting:
         with pytest.raises(DomainError):
             shoot_ground_energy(terms, (-0.5, 1.0), self.GRID)
 
+    @pytest.mark.parametrize("terms", [((2.0, 3.0), (0.25, 2.0), (-4.0, 1.0)),
+                                       ((-1.0, 4.0), (0.25, 2.0), (-4.0, 1.0))],
+                             ids=["absent", "attractive"])
+    def test_seeds_need_a_repulsive_r4_term(self, terms):
+        with pytest.raises(DomainError, match="repulsive r\\^-4"):
+            shoot_ground_energy(terms, (-2.0, -0.5), self.GRID)
+
+    def test_iteration_budget_exhausted(self, monkeypatch):
+        terms = ((1.0, 4.0), (2.0, 3.0), (0.25, 2.0), (-4.0, 1.0))
+        monkeypatch.setattr(oracle, "_MAX_ITERATIONS", 1)
+        with pytest.raises(NoConvergence, match="iteration budget"):
+            shoot_ground_energy(terms, (-2.0, -0.5), self.GRID, tolerance=1e-300)
+
     def test_shift_covariance(self):
         terms = ((1.0, 4.0), (2.0, 3.0), (0.25, 2.0), (-4.0, 1.0))
         shift = 0.375
@@ -379,9 +404,11 @@ def _angle_and_slope(terms, grid, energy):
     x, w, scale, c = oracle._sweep_variables(grid.spacing, r)
     f0 = oracle._f_values(terms, 0.0, 0.0, r)
     imatch = int(np.clip(np.argmin(f0), 5, len(r) - 6))
+    decay = math.sqrt(oracle.term_with_power(terms, 4.0))
+    inner = (math.exp(decay * (1.0 / r[1] - 1.0 / r[0])) / scale[0], 1.0 / scale[1])
+    outer = (math.exp(-math.sqrt(-energy) * (r[-1] - r[-2])) / scale[-1], 1.0 / scale[-2])
     _, angle, slope, _, _ = oracle._matching_defect(
-        x, w * (f0 - energy) + c, w, scale, r, imatch,
-        math.sqrt(oracle.term_with_power(terms, 4.0)), energy)
+        x, w * (f0 - energy) + c, w, imatch, inner, outer)
     return angle, slope
 
 

@@ -142,6 +142,12 @@ class TestBuildOneSided:
         with pytest.raises(DomainError):
             desk_config(s_max=2)
 
+    @pytest.mark.parametrize("changes", [{"eps": 0}, {"s_min": 1}],
+                             ids=["epsilon", "s_min"])
+    def test_invalid_config_rejected(self, changes):
+        with pytest.raises(DomainError):
+            desk_config(**changes)
+
 
 class TestBuildWindowed:
     def test_matches_one_sided_up_to_scale(self):
