@@ -11,6 +11,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from typing import Optional, Sequence
@@ -35,18 +36,25 @@ _USER_ERRORS = (DomainError, ConfigurationError, DegenerateC, NotNormalizable,
 def _emit(payload: dict, tables) -> None:
     """Print one strict JSON object after writing each (path, header, rows)
     CSV table.  A non-finite field, or a non-finite number in a list field,
-    is a DomainError, raised before anything is written."""
+    is a DomainError, raised before anything is written.  An OSError while
+    writing removes every table this call opened, then propagates."""
     for key, value in payload.items():
         numbers = np.ravel(value) if isinstance(value, list) else (value,)
         for number in numbers:
             if isinstance(number, float) and not math.isfinite(number):
                 raise DomainError(f"{key} is not finite, got {number!r}")
-    for path, header, rows in tables:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([f"{v:.17g}" for v in row])
+    written = set()
+    try:
+        for path, header, rows in tables:
+            with open(path, "w", newline="") as fh:
+                written.add(path)
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows([f"{v:.17g}" for v in row] for row in rows)
+    except OSError:
+        for path in written:
+            os.remove(path)
+        raise
     print(json.dumps(payload, allow_nan=False))
 
 

@@ -31,7 +31,8 @@ class BracketError(ValueError):
 
 
 class IntegrationDiverged(RuntimeError):
-    """Numerical integration overflowed; carries the last valid node index."""
+    """Numerical integration overflowed; carries the grid index of the last
+    valid node and its radius r."""
 
     def __init__(self, message: str, last_index: int, last_r: float):
         super().__init__(message)

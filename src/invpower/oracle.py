@@ -137,11 +137,13 @@ def _block_length(steps: int) -> int:
     return max(2, math.isqrt(steps // 6))
 
 
-def _numerov(sweeps, raise_on_overflow: bool) -> Tuple[List[np.ndarray], int]:
-    """Numerov sweeps of u'' = g u, each over equally spaced nodes x
-    (increasing or decreasing) from the seeds u0, u1 at its first two nodes.
-    ``sweeps`` holds (x, g, u0, u1) tuples; returns the solution of each
-    sweep and the number of rescales.
+def _numerov(x: np.ndarray, g: np.ndarray, r: np.ndarray, sweeps,
+             raise_on_overflow: bool) -> Tuple[List[np.ndarray], int]:
+    """Numerov sweeps of u'' = g u over spans of the equally spaced nodes x
+    of a grid with radii r.  ``sweeps`` holds (span, u0, u1) tuples: span
+    slices the grid with step 1 (outward) or -1 (inward), and u0, u1 are the
+    seeds at its first two nodes in travel order.  Returns the solution of
+    each sweep in grid order and the number of rescales.
 
     The state (u_i, d_i = u_i - u_{i-1}) advances in difference form,
 
@@ -161,29 +163,30 @@ def _numerov(sweeps, raise_on_overflow: bool) -> Tuple[List[np.ndarray], int]:
     Unless asked to raise, a block-start state with |u| > _OVERFLOW_LIMIT is
     divided by it, and so are the earlier values of its sweep, since only
     ratios and signs matter to such callers.  With ``raise_on_overflow`` the
-    first node past the limit raises IntegrationDiverged.  A non-finite
-    value raises it either way, at the last finite node; it appears when
-    one block grows by more than about 1e58, the float range over the
-    limit.  Nodes are reported by sweep index and x.  Some b_i <= 0 raises
-    DomainError: such a step flips the sign of u.
+    first node past the limit raises IntegrationDiverged.  A non-finite value
+    raises it either way, at the last finite node; it appears when one block
+    grows by more than about 1e58, the float range over the limit.  Some
+    b_i <= 0 raises DomainError: such a step flips the sign of u.  Each error
+    gives r at its grid node, and IntegrationDiverged the node's grid index.
     """
-    lengths = [len(x) for x, _, _, _ in sweeps]
-    steps = _block_length(sum(lengths) - 2 * len(sweeps))
+    indices = [range(len(x))[span] for span, _, _ in sweeps]
+    steps = _block_length(sum(map(len, indices)) - 2 * len(sweeps))
     # a sweep of n nodes takes n - 2 steps, in (n - 2) // steps + 1 blocks
     # that hold its nodes 1 .. n - 1; padding steps (both coefficients 0)
     # hold u constant
-    counts = [(n - 2) // steps + 1 for n in lengths]
+    counts = [(len(index) - 2) // steps + 1 for index in indices]
     blocks = sum(counts)
 
     padded = np.zeros((2, blocks * steps))
     slot = 0
-    for (x, g, _, _), count in zip(sweeps, counts):
-        hg = (x[1] - x[0]) ** 2 / 12.0 * g
+    for (span, _, _), index, count in zip(sweeps, indices, counts):
+        hg = (x[index[1]] - x[index[0]]) ** 2 / 12.0 * g[span]
         b = 1.0 - hg
-        b_min = b.min()
-        if b_min <= 0.0:
-            raise DomainError(f"grid too coarse: 1 - h^2 g / 12 reaches {b_min:.3g}")
-        p, q = padded[:, slot: slot + len(x) - 2]
+        i = int(b.argmin())
+        if b[i] <= 0.0:
+            raise DomainError(f"grid too coarse: 1 - h^2 g / 12 reaches {b[i]:.3g} "
+                              f"at r = {r[index[i]]:.6g}")
+        p, q = padded[:, slot: slot + len(index) - 2]
         np.divide(b[:-2], b[2:], p)
         np.multiply(hg[1:-1], 10.0, q)
         q += hg[:-2]
@@ -213,17 +216,17 @@ def _numerov(sweeps, raise_on_overflow: bool) -> Tuple[List[np.ndarray], int]:
     rescale_above = math.inf if raise_on_overflow else _OVERFLOW_LIMIT
     start_u, start_d, rescaled, rescales = [], [], [], []
     append_u, append_d = start_u.append, start_d.append
-    for (_, _, u0, u1), count in zip(sweeps, counts):
+    for (_, u0, u1), count in zip(sweeps, counts):
         first = len(start_u)
-        su, sd, r = float(u1), float(u1) - float(u0), 0
+        su, sd, scaled = float(u1), float(u1) - float(u0), 0
         for t00, t01, t10, t11 in islice(transfer, count):
             if abs(su) > rescale_above:
-                su, sd, r = su / _OVERFLOW_LIMIT, sd / _OVERFLOW_LIMIT, r + 1
+                su, sd, scaled = su / _OVERFLOW_LIMIT, sd / _OVERFLOW_LIMIT, scaled + 1
                 rescaled.append((first, len(start_u)))
             append_u(su)
             append_d(sd)
             su, sd = t00 * su + t01 * sd, t10 * su + t11 * sd
-        rescales.append(r)
+        rescales.append(scaled)
     # values[k] holds the nodes of block k, so that the rows are in sweep order
     weighted = u[:steps].T * np.array(start_u + start_d, dtype=float)[:, None]
     values = np.add(weighted[:blocks], weighted[blocks:], out=np.empty((blocks, steps)))
@@ -234,9 +237,9 @@ def _numerov(sweeps, raise_on_overflow: bool) -> Tuple[List[np.ndarray], int]:
     limit = _OVERFLOW_LIMIT if raise_on_overflow else sys.float_info.max
     solutions = []
     slot = 0
-    for (x, _, u0, _), count, r in zip(sweeps, counts, rescales):
-        sol = np.empty(len(x))
-        sol[0], sol[1:] = u0 * _OVERFLOW_LIMIT ** -r, values[slot: slot + len(x) - 1]
+    for (_, u0, _), index, count, scaled in zip(sweeps, indices, counts, rescales):
+        sol = np.empty(len(index))
+        sol[0], sol[1:] = u0 * _OVERFLOW_LIMIT ** -scaled, values[slot: slot + len(index) - 1]
         slot += count * steps
         # the seeds are not checked
         tail = sol[2:]
@@ -244,8 +247,10 @@ def _numerov(sweeps, raise_on_overflow: bool) -> Tuple[List[np.ndarray], int]:
             i = 2 + int(np.argmin(np.abs(tail) <= limit))
             if not math.isfinite(sol[i]):
                 i -= 1
-            raise IntegrationDiverged("integration overflowed", i, float(x[i]))
-        solutions.append(sol)
+            node = index[i]
+            raise IntegrationDiverged(f"integration overflowed at r = {r[node]:.6g}",
+                                      node, float(r[node]))
+        solutions.append(sol[::index.step])
     return solutions, sum(rescales)
 
 
@@ -264,23 +269,15 @@ def integrate_radial(terms: PotentialTerms, kappa: float, lam: float,
         raise DomainError("seeds must be finite and not both zero")
     require_finite(kappa=kappa, lam=lam)
     r = grid.nodes()
-    sweep = slice(None, None, -1 if direction is Direction.INWARD else 1)
+    span = slice(None, None, -1 if direction is Direction.INWARD else 1)
     g = _f_values(terms, kappa, lam, r)
-    if grid.spacing is Spacing.UNIFORM:
-        x, scale = r, None
-    else:
+    x, scale = r, None
+    if grid.spacing is Spacing.LOG:
         x, w, scale, c = _sweep_variables(grid.spacing, r)
         g *= w
         g += c
-        y0, y1 = y0 / scale[sweep][0], y1 / scale[sweep][1]
-    try:
-        (u,), _ = _numerov([(x[sweep], g[sweep], y0, y1)], raise_on_overflow=True)
-    except IntegrationDiverged as exc:
-        i = range(len(r))[sweep][exc.last_index]
-        raise IntegrationDiverged(str(exc), i, float(r[i])) from None
-    # sweep is the identity or a reversal, so slicing by it again restores
-    # the order of grid.nodes()
-    u = u[sweep]
+        y0, y1 = y0 / scale[span][0], y1 / scale[span][1]
+    (u,), _ = _numerov(x, g, r, [(span, y0, y1)], raise_on_overflow=True)
     return u if scale is None else scale * u
 
 
@@ -308,7 +305,7 @@ def _sign_changes(u: np.ndarray) -> int:
     return int(np.count_nonzero(np.sign(u[:-1]) * np.sign(u[1:]) < 0.0))
 
 
-def _matching_defect(x: np.ndarray, g: np.ndarray, w: np.ndarray, imatch: int,
+def _matching_defect(x: np.ndarray, g: np.ndarray, r: np.ndarray, w: np.ndarray, imatch: int,
                      inner: Tuple[float, float], outer: Tuple[float, float]) -> tuple:
     """Normalized Wronskian, in x, of the sweeps of u'' = g u outward from
     the seed pair ``inner`` and inward from ``outer``, at the match node,
@@ -316,16 +313,14 @@ def _matching_defect(x: np.ndarray, g: np.ndarray, w: np.ndarray, imatch: int,
     its slope S = -dDelta/dE; the sweeps' rescales; and the sweeps on
     either side of the match node, each divided by the length of its
     (u, u') there.  The Wronskian in x has the same zeros as the one in r.
-    Both sweeps go through one kernel call.  With dg/dE = -w, S is the
-    trapezoid sum of w u^2 over both normalized sweeps, halved at the
-    match node.
+    Both sweeps go through one kernel call, whose errors name a node by
+    its radius in r.  With dg/dE = -w, S is the trapezoid sum of w u^2 over
+    both normalized sweeps, halved at the match node.
     """
     h = x[1] - x[0]
-    (out, rev), rescales = _numerov([
-        (x[: imatch + 3], g[: imatch + 3], *inner),
-        (x[imatch - 2:][::-1], g[imatch - 2:][::-1], *outer),
-    ], raise_on_overflow=False)
-    inn = rev[::-1]  # inn[k] is the inward solution at x[imatch - 2 + k]
+    # out holds nodes 0 .. imatch + 2 and inn nodes imatch - 2 .. n - 1
+    spans = [(slice(imatch + 3), *inner), (slice(None, imatch - 3, -1), *outer)]
+    (out, inn), rescales = _numerov(x, g, r, spans, raise_on_overflow=False)
     d_out = (-out[imatch + 2] + 8.0 * out[imatch + 1]
              - 8.0 * out[imatch - 1] + out[imatch - 2]) / (12.0 * h)
     d_in = (-inn[4] + 8.0 * inn[3] - 8.0 * inn[1] + inn[0]) / (12.0 * h)
@@ -376,7 +371,7 @@ def shoot_ground_energy(terms: PotentialTerms, bracket: Tuple[float, float],
 
     def defect(energy: float):
         outer = (math.exp(-math.sqrt(-energy) * (r[-1] - r[-2])) / scale[-1], 1.0 / scale[-2])
-        result = _matching_defect(x, g0 - energy * w, w, imatch, inner, outer)
+        result = _matching_defect(x, g0 - energy * w, r, w, imatch, inner, outer)
         trace.append((energy, result[0]))
         return result
 

@@ -32,7 +32,7 @@ import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping
 
 import numpy as np
 
@@ -138,18 +138,13 @@ def _recurrence_rows(config: SeriesConfig, shifts: Iterable[int]):
                (s + 1, slope * (s + 1) + offset))
 
 
-def _recurrence_terms(s: int, config: SeriesConfig) -> Tuple[Tuple[int, complex], ...]:
-    """(index, coefficient) pairs of the recurrence row at shift s."""
-    return next(_recurrence_rows(config, (s,)))
-
-
 def recurrence_residual(coeffs: Mapping[int, complex], s: int,
                         config: SeriesConfig) -> complex:
     """Left-hand side of the recurrence at shift s; zero when it holds.
 
     Indices missing from ``coeffs`` read as zero.
     """
-    return sum(c * complex(coeffs.get(i, 0.0)) for i, c in _recurrence_terms(s, config))
+    return sum(c * complex(coeffs.get(i, 0.0)) for i, c in next(_recurrence_rows(config, (s,))))
 
 
 def build_series(config: SeriesConfig) -> SeriesSolution:

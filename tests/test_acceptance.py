@@ -22,7 +22,7 @@ from invpower import (ConfigurationError, DegenerateC, NotNormalizable,
                       finite_difference_residual, ground_state_residual,
                       ode_residual, origin_params, recurrence_residual,
                       shoot_ground_energy, solve_ground_state, special_p)
-from invpower.series import _recurrence_terms
+from invpower.series import _recurrence_rows
 
 
 def _report(number: int, label: str, ok: bool, detail: str) -> bool:
@@ -81,7 +81,7 @@ def test_criterion_3_recurrence_correctness():
                     for s in range(-b - 1, config.s_max - b):
                         res = recurrence_residual(sol.coefficients, s, config)
                         scale = max((abs(c) * abs(sol.coefficients.get(i, 0.0))
-                                     for i, c in _recurrence_terms(s, config)),
+                                     for i, c in next(_recurrence_rows(config, (s,)))),
                                     default=1.0)
                         worst = max(worst, abs(res) / max(1.0, scale))
     desk = build_series(SeriesConfig(pot=PotentialMonomial(1.0, 6.0),

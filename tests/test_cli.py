@@ -127,6 +127,18 @@ def test_series_artifacts_round_trip(capsys, tmp_path):
     assert wave_rows[0][3] == pytest.approx(res[0], rel=1e-12)
 
 
+def test_a_failed_table_write_leaves_no_table(capsys, tmp_path):
+    # the wave table's directory does not exist, so the coefficient table,
+    # written before it, is removed again
+    coeff_path = tmp_path / "coeffs.csv"
+    code, out, err = run(capsys, "series", "--alpha", "1", "--beta", "6", "--kappa", "1",
+                         "--coeff-out", str(coeff_path),
+                         "--wave-out", str(tmp_path / "missing" / "wave.csv"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not coeff_path.exists()
+
+
 def test_series_residual_where_y_underflows(capsys):
     # y = 1.0e-322 at r = 0.0862, where the envelope is subnormal; the
     # largest residual, 1.4e-12, is at r = 0.2
@@ -306,6 +318,14 @@ def test_verify_ground_rejects_a_grid_too_coarse_for_numerov(capsys, grid):
     assert code == 1
     assert out == ""
     assert err.startswith("error: grid too coarse: 1 - h^2 g / 12 reaches -")
+
+
+def test_verify_ground_names_the_radius_of_an_overflow(capsys):
+    # the inward sweep from r = 3000 overflows inside one block (ROADMAP,
+    # "Still open"); the error names the radius of its last finite node
+    code, out, err = run(capsys, "verify", "--target", "ground", "--A", "1", "--B", "2",
+                         "--D", "-4", "--r-max", "3000", "--n-points", "14145")
+    assert (code, out, err) == (1, "", "error: integration overflowed at r = 2599.93\n")
 
 
 @pytest.mark.parametrize("value, code, status, err", [

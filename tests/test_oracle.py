@@ -157,7 +157,8 @@ def _assert_close(u, ref, rtol):
 
 
 def _sweep(x, g, u0=1.0, u1=1.1):
-    (u,), _ = oracle._numerov([(x, g, u0, u1)], raise_on_overflow=False)
+    """One sweep of the kernel along x as given, which may decrease."""
+    (u,), _ = oracle._numerov(x, g, x, [(slice(None), u0, u1)], raise_on_overflow=False)
     return u
 
 
@@ -206,16 +207,18 @@ def test_numerov_stacked_sweeps_match_single_sweeps():
     rng = np.random.default_rng(11)
     x = np.linspace(0.0, 20.0, 2_000)
     g = rng.uniform(0.0, 50.0, x.size)
-    sweeps = [(x[:900], g[:900], 1.0, 1.1), (x[895:][::-1], g[895:][::-1], 2.0, 2.5)]
-    stacked, _ = oracle._numerov(sweeps, raise_on_overflow=False)
-    for u, (xs, gs, u0, u1) in zip(stacked, sweeps):
-        _assert_close(u, _sweep(xs, gs, u0, u1), 1e-13)
+    sweeps = [(slice(0, 900, 1), 1.0, 1.1), (slice(None, 894, -1), 2.0, 2.5)]
+    stacked, _ = oracle._numerov(x, g, x, sweeps, raise_on_overflow=False)
+    for u, (span, u0, u1) in zip(stacked, sweeps):
+        # the kernel returns grid order, _sweep the order of travel
+        _assert_close(u, _sweep(x[span], g[span], u0, u1)[::span.step], 1e-13)
 
 
 def test_numerov_counts_rescales():
     x = np.linspace(0.0, 20.0, 3_000)
     g = np.full(x.size, 2_500.0)  # u grows like e^(50 x), past e^1000
-    (u,), rescales = oracle._numerov([(x, g, 1.0, 1.1)], raise_on_overflow=False)
+    (u,), rescales = oracle._numerov(x, g, x, [(slice(None), 1.0, 1.1)],
+                                     raise_on_overflow=False)
     assert rescales == 1
     _assert_close(u, _numerov_reference(x, g, 1.0, 1.1), 1e-12)
 
@@ -227,9 +230,23 @@ def test_numerov_reports_the_last_finite_node():
     x = np.linspace(0.0, 1.0, 20_000)
     g = np.full(x.size, 0.7 * 12.0 / (x[1] - x[0]) ** 2)
     with np.errstate(all="ignore"), pytest.raises(IntegrationDiverged) as exc:
-        oracle._numerov([(x, g, 1.0, 1.1)], raise_on_overflow=False)
+        oracle._numerov(x, g, x, [(slice(None), 1.0, 1.1)], raise_on_overflow=False)
     assert exc.value.last_index == 4103
     assert exc.value.last_r == x[4103]
+
+
+def test_numerov_reports_an_inward_sweep_in_grid_coordinates():
+    # the same 20 000 steps run inward: the bad node is 4103 steps from the
+    # far end, and it is named by its grid index and radius, not by x
+    x = np.linspace(0.0, 1.0, 20_000)
+    g = np.full(x.size, 0.7 * 12.0 / (x[1] - x[0]) ** 2)
+    r = np.exp(x)
+    with np.errstate(all="ignore"), pytest.raises(IntegrationDiverged) as exc:
+        oracle._numerov(x, g, r, [(slice(None, None, -1), 1.0, 1.1)],
+                        raise_on_overflow=False)
+    assert exc.value.last_index == 15_896
+    assert exc.value.last_r == r[15_896]
+    assert str(exc.value) == f"integration overflowed at r = {r[15_896]:.6g}"
 
 
 def test_numerov_rejects_sign_flipping_steps():
@@ -237,10 +254,11 @@ def test_numerov_rejects_sign_flipping_steps():
     # a step through it would flip the sign of u and count a false node
     x = np.linspace(0.0, 1.0, 101)
     g = np.full(x.size, 10.0)
-    bad = g.copy()
-    bad[50] = 1.5 * 12.0 / (x[1] - x[0]) ** 2
-    with pytest.raises(DomainError, match="grid too coarse.*-0.5"):
-        oracle._numerov([(x, g, 1.0, 1.1), (x, bad, 1.0, 1.1)], raise_on_overflow=False)
+    g[50] = 1.5 * 12.0 / (x[1] - x[0]) ** 2
+    with pytest.raises(DomainError, match="grid too coarse.*-0.5") as exc:
+        oracle._numerov(x, g, x, [(slice(50), 1.0, 1.1), (slice(None, 40, -1), 1.0, 1.1)],
+                        raise_on_overflow=False)
+    assert str(exc.value).endswith("at r = 0.5")
 
 
 def test_ground_state_reference_fine_grid():
@@ -317,6 +335,17 @@ class TestShooting:
         terms = ((1.0, 4.0), (0.0, 3.0), (0.25, 2.0), (-4.0, 1.0))
         with pytest.raises(DomainError):
             shoot_ground_energy(terms, (-0.5, 1.0), self.GRID)
+
+    def test_overflow_names_its_grid_node(self):
+        # the inward sweep from r = 3000 overflows inside one block; the
+        # error names the node by its index in grid.nodes() and its radius,
+        # not by its place in the sweep
+        terms = ((1.0, 4.0), (2.0, 3.0), (0.25, 2.0), (-4.0, 1.0))
+        grid = RadialGrid(0.05, 3000.0, 14_145, Spacing.LOG)
+        with np.errstate(all="ignore"), pytest.raises(IntegrationDiverged) as exc:
+            shoot_ground_energy(terms, (-2.0, -0.5), grid)
+        assert exc.value.last_index == 13_960
+        assert exc.value.last_r == grid.nodes()[exc.value.last_index]
 
     @pytest.mark.parametrize("terms", [((2.0, 3.0), (0.25, 2.0), (-4.0, 1.0)),
                                        ((-1.0, 4.0), (0.25, 2.0), (-4.0, 1.0))],
@@ -408,7 +437,7 @@ def _angle_and_slope(terms, grid, energy):
     inner = (math.exp(decay * (1.0 / r[1] - 1.0 / r[0])) / scale[0], 1.0 / scale[1])
     outer = (math.exp(-math.sqrt(-energy) * (r[-1] - r[-2])) / scale[-1], 1.0 / scale[-2])
     _, angle, slope, _, _ = oracle._matching_defect(
-        x, w * (f0 - energy) + c, w, imatch, inner, outer)
+        x, w * (f0 - energy) + c, r, w, imatch, inner, outer)
     return angle, slope
 
 

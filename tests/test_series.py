@@ -195,13 +195,13 @@ class TestBuildWindowed:
 
 
 def forward_solve_reference(config):
-    """The forward solve one shift at a time through _recurrence_terms:
+    """The forward solve one shift at a time through _recurrence_rows:
     (coefficients, normalization index), or the index that overflowed."""
     b = config.half_beta
     a = {s: 0.0 + 0.0j for s in range(config.s_min, 0)}
     a[0] = 1.0 + 0.0j
     for s in range(-b, config.s_max - b):
-        (d, pivot), *rest = series._recurrence_terms(s, config)
+        (d, pivot), *rest = next(series._recurrence_rows(config, (s,)))
         a[d] = -sum(c * a.get(i, 0.0) for i, c in rest) / pivot
         if not cmath.isfinite(a[d]):
             return d
