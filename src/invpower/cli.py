@@ -35,11 +35,11 @@ _USER_ERRORS = (DomainError, ConfigurationError, DegenerateC, NotNormalizable,
 
 def _emit(payload: dict, tables) -> None:
     """Print one strict JSON object after writing each (path, header, rows)
-    CSV table.  A non-finite field, or a non-finite number in a list field,
-    is a DomainError, raised before anything is written.  An OSError while
+    CSV table.  A non-finite field, or one in a list or tuple field, is a
+    DomainError, raised before anything is written.  An OSError while
     writing removes every table this call opened, then propagates."""
     for key, value in payload.items():
-        numbers = np.ravel(value) if isinstance(value, list) else (value,)
+        numbers = np.ravel(value) if isinstance(value, (list, tuple)) else (value,)
         for number in numbers:
             if isinstance(number, float) and not math.isfinite(number):
                 raise DomainError(f"{key} is not finite, got {number!r}")
@@ -127,8 +127,9 @@ def _ground_state(args):
 
 
 # Each handler takes the flags that argv or the config file set and returns
-# (payload, tables, checks): the JSON object, (path, header, rows) CSV tables
-# and (name, value, bound) checks, each of which passes when value <= bound.
+# (payload, tables, bounds): the JSON object, (path, header, rows) CSV tables
+# and {field: bound} checks of payload fields, each of which passes when
+# |payload[field]| <= bound.
 
 def _cmd_reduce(args):
     setup = QuantumSetup(
@@ -143,7 +144,7 @@ def _cmd_reduce(args):
     for i, (s, p) in enumerate(reduced.terms):
         payload[f"term_{i}_strength"] = s
         payload[f"term_{i}_power"] = p
-    return payload, (), ()
+    return payload, (), {}
 
 
 def _cmd_asym(args):
@@ -151,12 +152,11 @@ def _cmd_asym(args):
     origin = origin_params(pot)
     p = special_p(pot.beta)
     return {
-        "gamma": origin.gamma,
-        "delta": origin.delta,
+        **vars(origin),
         "omega": p,
         "p": p,
         "polydromic": not p.is_integer(),
-    }, (), ()
+    }, (), {}
 
 
 def _cmd_series(args):
@@ -178,12 +178,11 @@ def _cmd_series(args):
     # before either table is written
     return {
         "omega": sol.omega,
-        "gamma": origin.gamma,
-        "delta": origin.delta,
+        **vars(origin),
         "n_coefficients": len(sol.coefficients),
         "normalization_index": sol.normalization_index,
         "max_residual": float(np.max(res)),
-    }, tables, ()
+    }, tables, {}
 
 
 def _cmd_ground(args):
@@ -207,7 +206,7 @@ def _cmd_ground(args):
     if args.get("wave_out"):
         r = grid.nodes()
         tables.append((args["wave_out"], ["r", "y"], zip(r, evaluate_ground_state(sol, r))))
-    return payload, tables, ()
+    return payload, tables, {}
 
 
 def _verify_ground(args):
@@ -224,28 +223,19 @@ def _verify_ground(args):
     grid = _grid_from(args, r_min=r_min, r_max=r_max, n=2000, spacing=Spacing.LOG)
     tolerance = args.get("tolerance", 1e-10)
     result = shoot_ground_energy(terms, (e_lo, e_hi), grid, tolerance=tolerance)
-    rel_err = abs(result.energy - sol.energy) / abs(sol.energy)
     r = np.linspace(max(grid.r_min, 0.1), min(grid.r_max, 10.0), 2001)
     fd = finite_difference_residual(r, evaluate_ground_state(sol, r),
                                     terms, sol.energy, 0.0)
+    # every field of the result in field order, its energy as shooting_energy
+    fields = dict(vars(result))
+    energy = fields.pop("energy")
     return {
         "closed_form_energy": sol.energy,
-        "shooting_energy": result.energy,
-        "relative_energy_error": rel_err,
-        "match_defect": result.match_defect,
-        "iterations": result.iterations,
-        "newton_steps": result.newton_steps,
-        "evaluations": result.evaluations,
-        "nodes": result.nodes,
-        "match_radius": result.match_radius,
-        "rescales": result.rescales,
-        "trace": [list(pair) for pair in result.trace],
+        "shooting_energy": energy,
+        "relative_energy_error": abs(energy - sol.energy) / abs(sol.energy),
+        **fields,
         "finite_difference_residual": fd,
-    }, (), (
-        ("match_defect", abs(result.match_defect), tolerance),
-        ("relative_energy_error", rel_err, 1e-6),
-        ("nodes", result.nodes, 0),
-    )
+    }, (), {"match_defect": tolerance, "relative_energy_error": 1e-6, "nodes": 0}
 
 
 def _verify_series(args):
@@ -267,7 +257,7 @@ def _verify_series(args):
                 for unit, part in ((1.0, y.real), (1j, y.imag)))
     gap = float(np.max(np.abs(sweep - y) / np.abs(y)))
     return ({"sweep_gap": gap, "sweep_start": grid.r_min, "nodes": grid.n_points}, (),
-            (("sweep_gap", gap, 1e-6),))
+            {"sweep_gap": 1e-6})
 
 
 _GRID = ("r_min", "r_max", "n_points")
@@ -486,10 +476,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                     f"not allowed with --target {args['target']}")
         # overflow is reported by the validators and _emit, not as warnings
         with np.errstate(all="ignore"):
-            payload, tables, checks = handler(args)
-            failures = [f"{name} {value:.3g} > {bound:.3g}"
-                        for name, value, bound in checks if not value <= bound]
-            if checks:
+            payload, tables, bounds = handler(args)
+            failures = [f"{field} {abs(payload[field]):.3g} > {bound:.3g}"
+                        for field, bound in bounds.items() if not abs(payload[field]) <= bound]
+            if bounds:
                 payload = {"status": "fail" if failures else "pass", **payload}
             _emit(payload, tables)
     except _USER_ERRORS as exc:

@@ -160,14 +160,14 @@ def _numerov(x: np.ndarray, g: np.ndarray, r: np.ndarray, sweeps,
     blocks' 2x2 transfer matrices, and one vectorized combination rebuilds
     every u.
 
-    Unless asked to raise, a block-start state with |u| > _OVERFLOW_LIMIT is
-    divided by it, and so are the earlier values of its sweep, since only
-    ratios and signs matter to such callers.  With ``raise_on_overflow`` the
-    first node past the limit raises IntegrationDiverged.  A non-finite value
-    raises it either way, at the last finite node; it appears when one block
-    grows by more than about 1e58, the float range over the limit.  Some
-    b_i <= 0 raises DomainError: such a step flips the sign of u.  Each error
-    gives r at its grid node, and IntegrationDiverged the node's grid index.
+    Unless asked to raise, a block whose end would have |u| > _OVERFLOW_LIMIT
+    has its start divided by the limit first, and so have the earlier values
+    of its sweep: only ratios and signs matter to such callers.  With
+    ``raise_on_overflow`` the first node past the limit raises
+    IntegrationDiverged.  A non-finite value raises it either way, at the
+    last finite node; only a block growing by more than the limit makes one.
+    Some b_i <= 0 raises DomainError: such a step flips the sign of u.
+    Each error gives r at its grid node, IntegrationDiverged its grid index.
     """
     indices = [range(len(x))[span] for span, _, _ in sweeps]
     steps = _block_length(sum(map(len, indices)) - 2 * len(sweeps))
@@ -220,12 +220,14 @@ def _numerov(x: np.ndarray, g: np.ndarray, r: np.ndarray, sweeps,
         first = len(start_u)
         su, sd, scaled = float(u1), float(u1) - float(u0), 0
         for t00, t01, t10, t11 in islice(transfer, count):
-            if abs(su) > rescale_above:
+            end = t00 * su + t01 * sd
+            if abs(end) > rescale_above:
                 su, sd, scaled = su / _OVERFLOW_LIMIT, sd / _OVERFLOW_LIMIT, scaled + 1
                 rescaled.append((first, len(start_u)))
+                end = t00 * su + t01 * sd
             append_u(su)
             append_d(sd)
-            su, sd = t00 * su + t01 * sd, t10 * su + t11 * sd
+            su, sd = end, t10 * su + t11 * sd
         rescales.append(scaled)
     # values[k] holds the nodes of block k, so that the rows are in sweep order
     weighted = u[:steps].T * np.array(start_u + start_d, dtype=float)[:, None]

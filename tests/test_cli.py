@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -12,8 +13,9 @@ import pytest
 
 import invpower
 from invpower import cli, series
-from invpower import (PotentialMonomial, SeriesConfig, SeriesSolution,
-                      build_series, evaluate_solution, origin_params, ode_residual)
+from invpower import (IntegrationDiverged, PotentialMonomial, SeriesConfig,
+                      SeriesSolution, ShootingResult, build_series, evaluate_solution,
+                      origin_params, ode_residual)
 from invpower.cli import _COMMANDS, _FLAGS, main
 
 
@@ -320,34 +322,62 @@ def test_verify_ground_rejects_a_grid_too_coarse_for_numerov(capsys, grid):
     assert err.startswith("error: grid too coarse: 1 - h^2 g / 12 reaches -")
 
 
-def test_verify_ground_names_the_radius_of_an_overflow(capsys):
-    # the inward sweep from r = 3000 overflows inside one block (ROADMAP,
-    # "Still open"); the error names the radius of its last finite node
+def test_verify_ground_rescales_a_long_log_grid(capsys):
+    # the inward sweep from r = 3000 grows past the rescale limit inside one
+    # block of the kernel, whose start is rescaled before its end is formed
+    payload = run_json(capsys, "verify", "--target", "ground", "--A", "1", "--B", "2",
+                       "--D", "-4", "--r-max", "3000", "--n-points", "14145")
+    assert payload["status"] == "pass"
+    assert payload["shooting_energy"] == pytest.approx(-1.0, abs=1e-11)
+    assert payload["nodes"] == 0
+    assert payload["rescales"] >= 1
+
+
+def test_verify_ground_reports_an_overflow_on_one_error_line(capsys, monkeypatch):
+    def overflow(*args, **kwargs):
+        raise IntegrationDiverged("integration overflowed at r = 2599.93", 13_960, 2599.93)
+
+    monkeypatch.setattr(cli, "shoot_ground_energy", overflow)
     code, out, err = run(capsys, "verify", "--target", "ground", "--A", "1", "--B", "2",
-                         "--D", "-4", "--r-max", "3000", "--n-points", "14145")
+                         "--D", "-4")
     assert (code, out, err) == (1, "", "error: integration overflowed at r = 2599.93\n")
+
+
+def test_verify_ground_prints_every_shooting_result_field(capsys):
+    # the result's energy is printed as shooting_energy, next to the
+    # closed form; its other fields follow in field order
+    payload = run_json(capsys, "verify", "--target", "ground", "--A", "1", "--B", "2",
+                       "--D", "-4")
+    fields = [f.name for f in dataclasses.fields(ShootingResult) if f.name != "energy"]
+    assert list(payload) == ["status", "closed_form_energy", "shooting_energy",
+                             "relative_energy_error", *fields,
+                             "finite_difference_residual"]
+    assert payload["converged"] is True
 
 
 @pytest.mark.parametrize("value, code, status, err", [
     (0.5, 0, "pass", ""),
     (1.0, 0, "pass", ""),
     (2.0, 2, "fail", "fail: gap 2 > 1\n"),
-    (math.nan, 2, "fail", "fail: gap nan > 1\n"),
+    (-2.0, 2, "fail", "fail: gap 2 > 1\n"),
+    (math.nan, 1, None, "error: gap is not finite, got nan\n"),
 ])
 def test_check_passes_when_value_is_at_most_its_bound(capsys, monkeypatch,
                                                       value, code, status, err):
-    # a check is a plain (name, value, bound) triple; NaN is not <= anything
+    # a check is a payload field with a bound, and passes when the field's
+    # magnitude is at most the bound; a NaN field is never printed
     monkeypatch.setitem(cli._TARGETS, "ground",
-                        (lambda args: ({"gap": 0.0}, (), (("gap", value, 1.0),)), ()))
-    assert run(capsys, "verify", "--target", "ground") == (
-        code, json.dumps({"status": status, "gap": 0.0}) + "\n", err)
+                        (lambda args: ({"gap": value}, (), {"gap": 1.0}), ()))
+    out = json.dumps({"status": status, "gap": value}) + "\n" if status else ""
+    assert run(capsys, "verify", "--target", "ground") == (code, out, err)
 
 
 def test_every_failed_check_on_one_line(capsys, monkeypatch):
-    checks = (("a", 2.0, 1.0), ("b", 0.0, 0.0), ("c", 3.0, 0.0))
-    monkeypatch.setitem(cli._TARGETS, "series", (lambda args: ({}, (), checks), ()))
+    payload = {"a": 2.0, "b": 0.0, "c": 3.0}
+    monkeypatch.setitem(cli._TARGETS, "series",
+                        (lambda args: (payload, (), {"a": 1.0, "b": 0.0, "c": 0.0}), ()))
     assert run(capsys, "verify", "--target", "series") == (
-        2, '{"status": "fail"}\n', "fail: a 2 > 1; c 3 > 0\n")
+        2, json.dumps({"status": "fail", **payload}) + "\n", "fail: a 2 > 1; c 3 > 0\n")
 
 
 @pytest.mark.parametrize("argv", [

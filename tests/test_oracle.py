@@ -223,30 +223,47 @@ def test_numerov_counts_rescales():
     _assert_close(u, _numerov_reference(x, g, 1.0, 1.1), 1e-12)
 
 
-def test_numerov_reports_the_last_finite_node():
+def test_numerov_rescales_before_a_block_outgrows_the_limit():
     # h^2 g / 12 = 0.7: u grows about 30-fold per step, 1e84 over a block
-    # of 57 steps, which passes the float range above the rescale limit; so
-    # the first bad node is not finite, and the one before it is reported
+    # of 57 steps, more than the float range above the rescale limit; the
+    # start of such a block is rescaled before its end is formed, so the
+    # sweep stays finite
     x = np.linspace(0.0, 1.0, 20_000)
     g = np.full(x.size, 0.7 * 12.0 / (x[1] - x[0]) ** 2)
+    (u,), rescales = oracle._numerov(x, g, x, [(slice(None), 1.0, 1.1)],
+                                     raise_on_overflow=False)
+    assert rescales == 118
+    ref = _numerov_reference(x, g, 1.0, 1.1)
+    # the reference divides every earlier node at each rescale, so most of
+    # them underflow; compare where it keeps digits
+    kept = np.abs(ref) > 1e-290
+    assert np.all(np.abs(u[kept] - ref[kept]) <= 1e-11 * np.abs(ref[kept]))
+
+
+def test_numerov_reports_the_last_finite_node():
+    # h^2 g / 12 = 0.9999: u grows about 1e5-fold per step, 1e290 over a
+    # block of 57 steps, more than the 1e250 that one rescale divides by; so
+    # the first bad node is not finite, and the one before it is reported
+    x = np.linspace(0.0, 1.0, 20_000)
+    g = np.full(x.size, 0.9999 * 12.0 / (x[1] - x[0]) ** 2)
     with np.errstate(all="ignore"), pytest.raises(IntegrationDiverged) as exc:
         oracle._numerov(x, g, x, [(slice(None), 1.0, 1.1)], raise_on_overflow=False)
-    assert exc.value.last_index == 4103
-    assert exc.value.last_r == x[4103]
+    assert exc.value.last_index == 455
+    assert exc.value.last_r == x[455]
 
 
 def test_numerov_reports_an_inward_sweep_in_grid_coordinates():
-    # the same 20 000 steps run inward: the bad node is 4103 steps from the
+    # the same 20 000 steps run inward: the bad node is 455 steps from the
     # far end, and it is named by its grid index and radius, not by x
     x = np.linspace(0.0, 1.0, 20_000)
-    g = np.full(x.size, 0.7 * 12.0 / (x[1] - x[0]) ** 2)
+    g = np.full(x.size, 0.9999 * 12.0 / (x[1] - x[0]) ** 2)
     r = np.exp(x)
     with np.errstate(all="ignore"), pytest.raises(IntegrationDiverged) as exc:
         oracle._numerov(x, g, r, [(slice(None, None, -1), 1.0, 1.1)],
                         raise_on_overflow=False)
-    assert exc.value.last_index == 15_896
-    assert exc.value.last_r == r[15_896]
-    assert str(exc.value) == f"integration overflowed at r = {r[15_896]:.6g}"
+    assert exc.value.last_index == 19_544
+    assert exc.value.last_r == r[19_544]
+    assert str(exc.value) == f"integration overflowed at r = {r[19_544]:.6g}"
 
 
 def test_numerov_rejects_sign_flipping_steps():
@@ -336,16 +353,15 @@ class TestShooting:
         with pytest.raises(DomainError):
             shoot_ground_energy(terms, (-0.5, 1.0), self.GRID)
 
-    def test_overflow_names_its_grid_node(self):
-        # the inward sweep from r = 3000 overflows inside one block; the
-        # error names the node by its index in grid.nodes() and its radius,
-        # not by its place in the sweep
+    def test_a_long_log_grid_rescales_instead_of_overflowing(self):
+        # the inward sweep from r = 3000 grows past the rescale limit inside
+        # one block; the block's start is rescaled first, so the shoot ends
         terms = ((1.0, 4.0), (2.0, 3.0), (0.25, 2.0), (-4.0, 1.0))
         grid = RadialGrid(0.05, 3000.0, 14_145, Spacing.LOG)
-        with np.errstate(all="ignore"), pytest.raises(IntegrationDiverged) as exc:
-            shoot_ground_energy(terms, (-2.0, -0.5), grid)
-        assert exc.value.last_index == 13_960
-        assert exc.value.last_r == grid.nodes()[exc.value.last_index]
+        result = shoot_ground_energy(terms, (-2.0, -0.5), grid)
+        assert result.energy == pytest.approx(-1.0, abs=1e-11)
+        assert result.nodes == 0
+        assert result.rescales >= 1
 
     @pytest.mark.parametrize("terms", [((2.0, 3.0), (0.25, 2.0), (-4.0, 1.0)),
                                        ((-1.0, 4.0), (0.25, 2.0), (-4.0, 1.0))],
